@@ -48,8 +48,8 @@ use crate::delay::DelayEstimate;
 use crate::error::CamjError;
 use crate::functional::{
     self, DagSim, DagStageSim, FrameSimReport, McDagSim, McDagStageSim, McFrameSimReport,
-    McOutputStats, McTaskMetrics, NoiseReport, NoiseStage, OutputStats, StageMcSim, StageNoise,
-    StageSim, Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION,
+    McOutputStats, McTaskMetrics, NoiseReport, NoiseStage, OutputStats, SeedStat, StageMcSim,
+    StageNoise, StageSim, Stimulus, TaskMetrics, DEFAULT_SIGNAL_FRACTION,
 };
 use crate::hw::{AnalogUnitDesc, DigitalUnitKind, HardwareDesc, UnitKind};
 use crate::mapping::Mapping;
@@ -1082,9 +1082,15 @@ impl ValidatedModel {
 
     /// Simulates one frame functionally: renders `stimulus` at the
     /// input stage's resolution, pushes it through the analog signal
-    /// chain injecting each stage's noise with a seeded Gaussian
+    /// chain injecting each stage's noise with a seeded ziggurat
     /// sampler (and applying real mid-tread quantization at digitising
-    /// stages), and measures per-stage SNR against the clean frame.
+    /// stages), measures per-stage SNR against the clean frame, then
+    /// runs the mapped digital DAG on the result.
+    ///
+    /// This is the one-seed case of [`Self::simulate_frames`]: both
+    /// run the same per-seed routine, so `simulate_frame(s, …)` is
+    /// bit-for-bit member `s` of any Monte-Carlo batch that contains
+    /// it (frame digest, DAG digest, and every stage statistic).
     ///
     /// Determinism contract: the result is a pure function of
     /// `(model, seed, stimulus)` — per-stage RNG streams are derived
@@ -1111,20 +1117,14 @@ impl ValidatedModel {
     /// estimate behind the explorer's `mc_snr:<samples>` objective and
     /// `camj simulate --samples N`.
     ///
-    /// The frame plan (clean frame, resolved variance terms, per-pixel
-    /// noise std) is built once and shared; seeds then simulate
-    /// independently, in parallel when more than one worker is
-    /// available. Because every seed's RNG streams are derived by
-    /// fingerprint-mixing (never shared), each per-seed frame — and
-    /// therefore the whole report — is byte-identical whatever
-    /// `RAYON_NUM_THREADS` says.
-    ///
-    /// Batch runs draw noise with the ziggurat sampler instead of the
-    /// single-seed path's digest-pinned Box–Muller stream: the samples
-    /// are exactly N(0, 1) and fully deterministic per seed, but
-    /// `simulate_frames(&[s], …)` is *not* bitwise the same frame as
-    /// [`Self::simulate_frame`]`(s, …)` — it is a different (equally
-    /// valid) realisation, at a fraction of the per-seed cost.
+    /// The frame plan (clean frame, per-pixel noise std, DAG reference
+    /// pass) is built once and shared; every seed then runs exactly
+    /// what [`Self::simulate_frame`] runs, in parallel when more than
+    /// one worker is available, and the per-seed reports reduce to
+    /// means and sample standard deviations. Because every seed's RNG
+    /// streams are derived by fingerprint-mixing (never shared), each
+    /// per-seed frame — and therefore the whole report — is
+    /// byte-identical whatever `RAYON_NUM_THREADS` says.
     ///
     /// # Errors
     ///
@@ -1143,19 +1143,17 @@ impl ValidatedModel {
         let _span = obs_core::span("frame.simulate_mc");
         obs_core::counter("frame.seeds", 0, seeds.len() as u64);
         let plan = self.frame_plan(stimulus)?;
-        let stds = plan.noise_stds();
-        let reports: Vec<FrameSimReport> = seeds
-            .par_iter()
-            .map(|&seed| plan.simulate_fast(seed, &stds))
-            .collect();
-        let stages = (0..reports[0].stages.len())
-            .map(|i| {
-                let rms: Vec<f64> = reports.iter().map(|r| r.stages[i].noise_rms).collect();
-                let snr: Vec<Option<f64>> = reports.iter().map(|r| r.stages[i].snr_db).collect();
-                let (noise_rms_mean, noise_rms_std) = functional::mean_std(&rms);
-                let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
+        let reports: Vec<FrameSimReport> =
+            seeds.par_iter().map(|&seed| plan.simulate(seed)).collect();
+        let stages = reports[0]
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| {
+                let (noise_rms_mean, noise_rms_std) = across(&reports, |r| r.stages[i].noise_rms);
+                let (snr_db_mean, snr_db_std) = across(&reports, |r| r.stages[i].snr_db);
                 StageMcSim {
-                    unit: reports[0].stages[i].unit.clone(),
+                    unit: stage.unit.clone(),
                     noise_rms_mean,
                     noise_rms_std,
                     snr_db_mean,
@@ -1163,11 +1161,8 @@ impl ValidatedModel {
                 }
             })
             .collect();
-        let means: Vec<f64> = reports.iter().map(|r| r.output.mean).collect();
-        let rms: Vec<f64> = reports.iter().map(|r| r.output.noise_rms).collect();
-        let snr: Vec<Option<f64>> = reports.iter().map(|r| r.output.snr_db).collect();
-        let (noise_rms_mean, noise_rms_std) = functional::mean_std(&rms);
-        let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
+        let (noise_rms_mean, noise_rms_std) = across(&reports, |r| r.output.noise_rms);
+        let (snr_db_mean, snr_db_std) = across(&reports, |r| r.output.snr_db);
         let dag = reports[0].dag.as_ref().map(|first| {
             // Every report shares the plan, so dag presence and stage
             // lists agree across seeds.
@@ -1175,15 +1170,16 @@ impl ValidatedModel {
                 .iter()
                 .map(|r| r.dag.as_ref().expect("shared plan"))
                 .collect();
-            let stages = (0..first.stages.len())
-                .map(|i| {
-                    let rms: Vec<f64> = per_seed.iter().map(|d| d.stages[i].error_rms).collect();
-                    let snr: Vec<Option<f64>> =
-                        per_seed.iter().map(|d| d.stages[i].snr_db).collect();
-                    let (error_rms_mean, error_rms_std) = functional::mean_std(&rms);
-                    let (snr_db_mean, snr_db_std) = functional::mean_std_opt(&snr);
+            let stages = first
+                .stages
+                .iter()
+                .enumerate()
+                .map(|(i, stage)| {
+                    let (error_rms_mean, error_rms_std) =
+                        across(&per_seed, |d| d.stages[i].error_rms);
+                    let (snr_db_mean, snr_db_std) = across(&per_seed, |d| d.stages[i].snr_db);
                     McDagStageSim {
-                        stage: first.stages[i].stage.clone(),
+                        stage: stage.stage.clone(),
                         error_rms_mean,
                         error_rms_std,
                         snr_db_mean,
@@ -1191,14 +1187,11 @@ impl ValidatedModel {
                     }
                 })
                 .collect();
-            let mse: Vec<f64> = per_seed.iter().map(|d| d.metrics.mse).collect();
-            let rmse: Vec<f64> = per_seed.iter().map(|d| d.metrics.rmse).collect();
-            let psnr: Vec<Option<f64>> = per_seed.iter().map(|d| d.metrics.psnr_db).collect();
-            let cent: Vec<f64> = per_seed.iter().map(|d| d.metrics.centroid_err).collect();
-            let (mse_mean, mse_std) = functional::mean_std(&mse);
-            let (rmse_mean, rmse_std) = functional::mean_std(&rmse);
-            let (psnr_db_mean, psnr_db_std) = functional::mean_std_opt(&psnr);
-            let (centroid_err_mean, centroid_err_std) = functional::mean_std(&cent);
+            let (mse_mean, mse_std) = across(&per_seed, |d| d.metrics.mse);
+            let (rmse_mean, rmse_std) = across(&per_seed, |d| d.metrics.rmse);
+            let (psnr_db_mean, psnr_db_std) = across(&per_seed, |d| d.metrics.psnr_db);
+            let (centroid_err_mean, centroid_err_std) =
+                across(&per_seed, |d| d.metrics.centroid_err);
             McDagSim {
                 stages,
                 sink: first.sink.clone(),
@@ -1223,7 +1216,7 @@ impl ValidatedModel {
             channels: reports[0].channels,
             stages,
             output: McOutputStats {
-                mean: functional::mean_std(&means).0,
+                mean: across(&reports, |r| r.output.mean).0,
                 noise_rms_mean,
                 noise_rms_std,
                 snr_db_mean,
@@ -1356,7 +1349,8 @@ impl ValidatedModel {
 
     /// Resolves everything about a frame simulation that does not
     /// depend on the seed: the rendered clean frame, the signal level,
-    /// and each stage's variance terms. One plan serves every seed of a
+    /// every noisy stage's per-pixel noise standard deviation, and the
+    /// digital-DAG reference pass. One plan serves every seed of a
     /// Monte-Carlo run.
     fn frame_plan(&self, stimulus: &Stimulus) -> Result<FramePlan, CamjError> {
         let _span = obs_core::span("frame.plan");
@@ -1382,36 +1376,13 @@ impl ValidatedModel {
         let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
         let stages = self
             .noise_chain()
-            .iter()
+            .into_iter()
             .map(|stage| PlanStage {
-                unit: stage.unit.clone(),
-                // Only photon shot noise depends on the pixel value;
-                // every other source's variance is constant across the
-                // frame, so evaluate it once per stage. Per-pixel terms
-                // keep the exact per-source expression and summation
-                // order, so frames stay bit-identical to the scalar
-                // per-pixel evaluation.
-                terms: if stage.sources.is_empty() {
-                    None
-                } else {
-                    Some(
-                        stage
-                            .sources
-                            .iter()
-                            .map(|s| match *s {
-                                camj_analog::noise::NoiseSource::PhotonShot {
-                                    full_well_electrons,
-                                } => VarTerm::Shot {
-                                    full_well_electrons,
-                                },
-                                _ => {
-                                    let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                                    VarTerm::Constant(rms * rms)
-                                }
-                            })
-                            .collect(),
-                    )
-                },
+                // A stage without sources injects no noise and draws
+                // no samples.
+                std: (!stage.sources.is_empty())
+                    .then(|| noise_std(&stage.sources, &clean, exposure, temperature_k)),
+                unit: stage.unit,
                 quant_bits: stage.quant_bits,
             })
             .collect();
@@ -1426,132 +1397,55 @@ impl ValidatedModel {
             dag,
         })
     }
-
-    /// The original per-pixel scalar frame simulation, retained
-    /// verbatim as the bit-exactness oracle for the vectorized path
-    /// (property tests compare digests against it). Not part of the
-    /// public API surface.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::simulate_frame`].
-    #[doc(hidden)]
-    pub fn simulate_frame_reference(
-        &self,
-        seed: u64,
-        stimulus: &Stimulus,
-    ) -> Result<FrameSimReport, CamjError> {
-        let delay = self.estimate_delay()?;
-        let input = self
-            .algo
-            .stages()
-            .iter()
-            .find(|s| matches!(s.kind(), StageKind::Input))
-            .ok_or_else(|| CamjError::CheckDag {
-                reason: "functional simulation needs an input stage to render the stimulus at"
-                    .to_owned(),
-            })?;
-        let size = input.output_size();
-        let (width, height, channels) = (size.width, size.height, size.channels);
-        let pixels = size.count() as usize;
-
-        let clean = stimulus.render(width, height, channels);
-        let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
-
-        let exposure = delay.analog_unit_time;
-        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let mut noisy = clean.clone();
-        let mut stages = Vec::new();
-        for (index, stage) in self.noise_chain().iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            if !stage.sources.is_empty() {
-                let terms: Vec<VarTerm> = stage
-                    .sources
-                    .iter()
-                    .map(|s| match *s {
-                        camj_analog::noise::NoiseSource::PhotonShot {
-                            full_well_electrons,
-                        } => VarTerm::Shot {
-                            full_well_electrons,
-                        },
-                        _ => {
-                            let rms = s.rms_fraction(0.0, exposure, temperature_k);
-                            VarTerm::Constant(rms * rms)
-                        }
-                    })
-                    .collect();
-                for (value, reference) in noisy.iter_mut().zip(&clean) {
-                    // Signal-dependent sources (photon shot) read the
-                    // clean pixel value: deterministic, and unbiased by
-                    // upstream noise realisations.
-                    let var: f64 = terms
-                        .iter()
-                        .map(|term| match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                let rms = (*reference / full_well_electrons).sqrt();
-                                rms * rms
-                            }
-                            VarTerm::Constant(var) => var,
-                        })
-                        .sum();
-                    if var > 0.0 {
-                        *value += functional::gaussian(&mut rng) * var.sqrt();
-                    }
-                    // The physical rails clip: charge saturates at the
-                    // full well, swings at the supplies.
-                    *value = value.clamp(0.0, 1.0);
-                }
-            }
-            if let Some(bits) = stage.quant_bits {
-                for value in &mut noisy {
-                    *value = camj_digital::quantize::quantize(*value, bits);
-                }
-            }
-            let noise_rms = rms_error(&noisy, &clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(signal_rms, noise_rms),
-            });
-        }
-
-        let mut report = finish_frame_report(
-            seed,
-            &stimulus.to_string(),
-            width,
-            height,
-            channels,
-            stages,
-            signal_rms,
-            &noisy,
-            &clean,
-            FrameDigest::Pinned,
-        );
-        // The digital-DAG pass runs strictly after the analog report is
-        // sealed, on the final frame — the analog digest stream is
-        // untouched, so committed pre-DAG digests remain valid.
-        report.dag = DagPlan::build(&self.algo, (width, height, channels), &clean)
-            .map(|dag| dag.run(&noisy));
-        Ok(report)
-    }
 }
 
-/// One resolved variance term of a noise stage (see
-/// [`ValidatedModel::frame_plan`]).
-enum VarTerm {
-    Shot { full_well_electrons: f64 },
-    Constant(f64),
+/// Per-pixel noise standard deviation of one stage. Variances add
+/// source by source (declaration order) and take one square root;
+/// pixels without variance get an exact zero.
+///
+/// Only photon shot noise depends on the pixel value — it reads the
+/// *clean* pixel, so it is deterministic and unbiased by upstream noise
+/// realisations. Every other source's variance is constant across the
+/// frame, so it is evaluated once per source.
+fn noise_std(
+    sources: &[camj_analog::noise::NoiseSource],
+    clean: &[f64],
+    exposure: Time,
+    temperature_k: f64,
+) -> Vec<f64> {
+    let mut var = vec![0.0_f64; clean.len()];
+    for source in sources {
+        match *source {
+            camj_analog::noise::NoiseSource::PhotonShot {
+                full_well_electrons,
+            } => {
+                for (v, reference) in var.iter_mut().zip(clean) {
+                    let rms = (*reference / full_well_electrons).sqrt();
+                    *v += rms * rms;
+                }
+            }
+            _ => {
+                let rms = source.rms_fraction(0.0, exposure, temperature_k);
+                let c = rms * rms;
+                for v in var.iter_mut() {
+                    *v += c;
+                }
+            }
+        }
+    }
+    for v in &mut var {
+        *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
+    }
+    var
 }
 
 /// One stage of a frame plan: the unit name (cold path — report rows
-/// only), its resolved variance terms, and the back-end quantization.
+/// only), its per-pixel noise standard deviation, and the back-end
+/// quantization.
 struct PlanStage {
     unit: String,
-    /// `None` when the stage declares no sources (noise injection is
-    /// skipped entirely, matching the scalar path).
-    terms: Option<Vec<VarTerm>>,
+    /// `None` when the stage declares no noise sources.
+    std: Option<Vec<f64>>,
     quant_bits: Option<u32>,
 }
 
@@ -1572,159 +1466,24 @@ struct FramePlan {
     dag: Option<DagPlan>,
 }
 
-/// Pixels processed per vectorized span: the variance and normal
-/// scratch buffers stay L1-resident at this size.
+/// Pixels processed per span: the normal scratch buffer stays
+/// L1-resident at this size, and the noise stream is drawn one span
+/// at a time.
 const FRAME_CHUNK: usize = 1024;
 
 impl FramePlan {
     /// Pushes one seeded noise realisation through the planned chain.
     ///
-    /// The hot loops run per [`FRAME_CHUNK`] span: variance terms
-    /// accumulate term-outer into a span buffer (preserving the scalar
-    /// path's per-pixel summation order), Gaussians are block-filled
-    /// for exactly the pixels with positive variance (preserving the
-    /// scalar path's RNG consumption order), then applied and clamped
-    /// in pixel order — so the frame is bit-identical to
-    /// [`ValidatedModel::simulate_frame_reference`].
+    /// Noise is drawn with the ziggurat sampler
+    /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1)
+    /// and deterministic for the seed — one [`FRAME_CHUNK`] span at a
+    /// time, and applied from the plan's precomputed std lanes, so the
+    /// per-seed loop touches no variance term, no division, and no
+    /// square root. Clamping, quantization, and the squared error each
+    /// stage reports fuse into those passes.
     fn simulate(&self, seed: u64) -> FrameSimReport {
         // One coarse span per frame; the chunked loops below are never
         // probed individually.
-        let _span = obs_core::span("frame.simulate");
-        obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
-        obs_core::counter(
-            "frame.chunks",
-            0,
-            (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
-        );
-        let mut noisy = self.clean.clone();
-        let mut var = [0.0_f64; FRAME_CHUNK];
-        let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for (index, stage) in self.stages.iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            if let Some(terms) = &stage.terms {
-                for (noisy_span, clean_span) in noisy
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    let var = &mut var[..noisy_span.len()];
-                    var.fill(0.0);
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                // Signal-dependent sources (photon
-                                // shot) read the clean pixel value:
-                                // deterministic, and unbiased by
-                                // upstream noise realisations.
-                                for (v, reference) in var.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in var.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    let draws = var.iter().filter(|v| **v > 0.0).count();
-                    let normals = &mut normals[..draws];
-                    rand::normal::fill_standard_normal(&mut rng, normals);
-                    let mut next = 0;
-                    for (value, v) in noisy_span.iter_mut().zip(var.iter()) {
-                        if *v > 0.0 {
-                            *value += normals[next] * v.sqrt();
-                            next += 1;
-                        }
-                        // The physical rails clip: charge saturates at
-                        // the full well, swings at the supplies.
-                        *value = value.clamp(0.0, 1.0);
-                    }
-                }
-            }
-            if let Some(bits) = stage.quant_bits {
-                camj_digital::quantize::quantize_slice(&mut noisy, bits);
-            }
-            let noise_rms = rms_error(&noisy, &self.clean);
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(self.signal_rms, noise_rms),
-            });
-        }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Pinned,
-        );
-        // DAG pass after the analog report is sealed: the committed
-        // analog digest stream stays exactly as before.
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
-    }
-
-    /// Resolves every stage's per-pixel noise standard deviation. The
-    /// variance is seed-independent, so a Monte-Carlo batch computes
-    /// this once and shares it across all seeds — the per-seed loop
-    /// then touches no variance term, no division, and no square root.
-    /// Accumulation order matches [`Self::simulate`] exactly, so the
-    /// stored `std` equals the bits `v.sqrt()` would produce there.
-    fn noise_stds(&self) -> Vec<Option<Vec<f64>>> {
-        self.stages
-            .iter()
-            .map(|stage| {
-                let terms = stage.terms.as_ref()?;
-                let mut std = vec![0.0_f64; self.clean.len()];
-                for (std_span, clean_span) in std
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
-                    for term in terms {
-                        match *term {
-                            VarTerm::Shot {
-                                full_well_electrons,
-                            } => {
-                                for (v, reference) in std_span.iter_mut().zip(clean_span) {
-                                    let rms = (*reference / full_well_electrons).sqrt();
-                                    *v += rms * rms;
-                                }
-                            }
-                            VarTerm::Constant(c) => {
-                                for v in std_span.iter_mut() {
-                                    *v += c;
-                                }
-                            }
-                        }
-                    }
-                    for v in std_span.iter_mut() {
-                        *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
-                    }
-                }
-                Some(std)
-            })
-            .collect()
-    }
-
-    /// The Monte-Carlo batch realisation: same planned chain, but noise
-    /// is applied from the precomputed [`Self::noise_stds`] lanes and
-    /// drawn with the ziggurat sampler
-    /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1),
-    /// deterministic for the seed, but a different stream than the
-    /// single-seed path, whose Box–Muller draw order is pinned by the
-    /// committed frame digests. Per-seed cost is a fraction of a scalar
-    /// frame, which is what makes `mc_snr:<samples>` affordable inside
-    /// a sweep.
-    fn simulate_fast(&self, seed: u64, stds: &[Option<Vec<f64>>]) -> FrameSimReport {
         let _span = obs_core::span("frame.simulate");
         obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
         obs_core::counter(
@@ -1742,7 +1501,7 @@ impl FramePlan {
             // whichever fused pass ran last (pixel order, so the value
             // matches what `rms_error` would measure).
             let mut sq = None;
-            if let Some(std) = &stds[index] {
+            if let Some(std) = &stage.std {
                 let mut acc = 0.0;
                 for ((noisy_span, std_span), clean_span) in noisy
                     .chunks_mut(FRAME_CHUNK)
@@ -1762,6 +1521,8 @@ impl FramePlan {
                         .zip(normals.iter())
                         .zip(clean_span.iter())
                     {
+                        // The physical rails clip: charge saturates at
+                        // the full well, swings at the supplies.
                         *value = (*value + n * s).clamp(0.0, 1.0);
                         let d = *value - c;
                         acc += d * d;
@@ -1784,21 +1545,61 @@ impl FramePlan {
                 snr_db: functional::snr_db(self.signal_rms, noise_rms),
             });
         }
-        let mut report = finish_frame_report(
-            seed,
-            &self.stimulus,
-            self.width,
-            self.height,
-            self.channels,
-            stages,
-            self.signal_rms,
-            &noisy,
-            &self.clean,
-            FrameDigest::Bulk,
-        );
-        report.dag = self.dag.as_ref().map(|dag| dag.run(&noisy));
-        report
+        self.finish(seed, stages, &noisy)
     }
+
+    /// Seals a simulated frame: output statistics, the frame digest,
+    /// then the digital-DAG pass on the final frame (which adds no
+    /// randomness).
+    fn finish(&self, seed: u64, stages: Vec<StageSim>, noisy: &[f64]) -> FrameSimReport {
+        // The last stage already measured the final frame against the
+        // clean frame; recompute only when there was no stage at all.
+        let noise_rms = stages
+            .last()
+            .map_or_else(|| rms_error(noisy, &self.clean), |s| s.noise_rms);
+        // Statistics fuse into the digest walk, span by span while each
+        // span is still L1-resident: the sum runs in the same
+        // left-to-right order a plain `iter().sum()` would, and hashing
+        // span by span yields the exact stream one whole-slice call
+        // would.
+        let mut sum = 0.0;
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut h = FpHasher::new();
+        h.write_str("camj.frame-digest-mc/v1");
+        for span in noisy.chunks(FRAME_CHUNK) {
+            for v in span {
+                sum += *v;
+                min = min.min(*v);
+                max = max.max(*v);
+            }
+            h.write_f64_slice_bulk(span);
+        }
+        let mean = sum / noisy.len().max(1) as f64;
+        let (hi, lo) = h.finish().parts();
+        FrameSimReport {
+            seed,
+            stimulus: self.stimulus.clone(),
+            width: self.width,
+            height: self.height,
+            channels: self.channels,
+            stages,
+            output: OutputStats {
+                mean,
+                min,
+                max,
+                noise_rms,
+                snr_db: functional::snr_db(self.signal_rms, noise_rms),
+            },
+            digest: format!("{hi:016x}{lo:016x}"),
+            dag: self.dag.as_ref().map(|dag| dag.run(noisy)),
+        }
+    }
+}
+
+/// The Monte-Carlo reducer: mean and sample standard deviation of one
+/// per-seed quantity, taken in seed order.
+fn across<T, V: SeedStat>(per_seed: &[T], value: impl Fn(&T) -> V) -> (V, V) {
+    V::mean_std(&per_seed.iter().map(value).collect::<Vec<V>>())
 }
 
 /// One functionally executable stage of a [`DagPlan`].
@@ -1973,91 +1774,6 @@ impl DagPlan {
     }
 }
 
-/// Digest flavour of a finished frame (see [`finish_frame_report`]).
-enum FrameDigest {
-    /// Per-value hashing under the committed `camj.frame-digest/v1`
-    /// domain — the single-seed compatibility digest.
-    Pinned,
-    /// Word-at-a-time hashing under its own domain — ~6x cheaper, used
-    /// by Monte-Carlo batch frames (which are not stream-compatible
-    /// with the pinned path anyway).
-    Bulk,
-}
-
-/// Shared tail of a frame simulation: output statistics and the
-/// bit-pinning digest of the final frame.
-#[allow(clippy::too_many_arguments)]
-fn finish_frame_report(
-    seed: u64,
-    stimulus: &str,
-    width: u32,
-    height: u32,
-    channels: u32,
-    stages: Vec<StageSim>,
-    signal_rms: f64,
-    noisy: &[f64],
-    clean: &[f64],
-    digest: FrameDigest,
-) -> FrameSimReport {
-    // The last stage already measured the final frame against the
-    // clean frame; recompute only when there was no stage at all.
-    let noise_rms = stages
-        .last()
-        .map_or_else(|| rms_error(noisy, clean), |s| s.noise_rms);
-    // Statistics fuse into the digest walk: the sum runs in the same
-    // left-to-right order a plain `iter().sum()` would, so `mean` is
-    // bit-identical to a separate-pass formulation, and the frame makes
-    // one trip through memory instead of two.
-    let mut sum = 0.0;
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let mut h = FpHasher::new();
-    match digest {
-        FrameDigest::Pinned => {
-            h.write_str("camj.frame-digest/v1");
-            for v in noisy {
-                sum += *v;
-                min = min.min(*v);
-                max = max.max(*v);
-                h.write_f64(*v);
-            }
-        }
-        FrameDigest::Bulk => {
-            h.write_str("camj.frame-digest-mc/v1");
-            // Chunked interleave: statistics and the word-at-a-time
-            // hash visit each span while it is still L1-resident.
-            // Hashing span-by-span yields the exact stream one whole-
-            // slice call would.
-            for span in noisy.chunks(FRAME_CHUNK) {
-                for v in span {
-                    sum += *v;
-                    min = min.min(*v);
-                    max = max.max(*v);
-                }
-                h.write_f64_slice_bulk(span);
-            }
-        }
-    }
-    let mean = sum / noisy.len().max(1) as f64;
-    let (hi, lo) = h.finish().parts();
-    FrameSimReport {
-        seed,
-        stimulus: stimulus.to_owned(),
-        width,
-        height,
-        channels,
-        stages,
-        output: OutputStats {
-            mean,
-            min,
-            max,
-            noise_rms,
-            snr_db: functional::snr_db(signal_rms, noise_rms),
-        },
-        digest: format!("{hi:016x}{lo:016x}"),
-        dag: None,
-    }
-}
-
 /// RMS deviation of `noisy` from `clean`, fraction of full scale.
 fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
     if noisy.is_empty() {
@@ -2070,4 +1786,138 @@ fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
         .sum::<f64>()
         / noisy.len() as f64)
         .sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use camj_analog::array::AnalogArray;
+    use camj_analog::components::{aps_4t, column_adc, ApsParams};
+    use camj_analog::noise::NoiseSource;
+
+    use super::*;
+    use crate::energy::CamJ;
+    use crate::hw::{AnalogCategory, Layer};
+    use crate::sw::Stage;
+
+    /// A two-stage analog chain (pixel front end + column ADC) at an
+    /// arbitrary resolution. `noise` picks the pixel's sources: 0 none,
+    /// 1 shot only (black pixels then get zero-std lanes), 2 shot +
+    /// dark current + read.
+    fn toy_model(width: u32, height: u32, noise: u32) -> ValidatedModel {
+        const FULL_WELL: f64 = 10_000.0;
+        let mut algo = AlgorithmGraph::new();
+        algo.add_stage(Stage::input("Input", [width, height, 1]));
+        algo.add_stage(Stage::element_wise("Gain", [width, height, 1], 1));
+        algo.connect("Input", "Gain").unwrap();
+
+        let mut pixel = aps_4t(ApsParams::default());
+        if noise >= 1 {
+            pixel = pixel.with_noise_source(NoiseSource::photon_shot(FULL_WELL));
+        }
+        if noise >= 2 {
+            pixel = pixel
+                .with_noise_source(NoiseSource::dark_current(50.0, FULL_WELL))
+                .with_noise_source(NoiseSource::read(0.001));
+        }
+        let mut hw = HardwareDesc::new(200e6);
+        hw.add_analog(
+            AnalogUnitDesc::new(
+                "PixelArray",
+                AnalogArray::new(pixel, height, width),
+                Layer::Sensor,
+                AnalogCategory::Sensing,
+            )
+            .with_pixel_pitch_um(3.0),
+        );
+        hw.add_analog(AnalogUnitDesc::new(
+            "ADCArray",
+            AnalogArray::new(column_adc(10), 1, width),
+            Layer::Sensor,
+            AnalogCategory::Sensing,
+        ));
+        hw.connect("PixelArray", "ADCArray");
+        let mapping = Mapping::new()
+            .map("Input", "PixelArray")
+            .map("Gain", "ADCArray");
+        CamJ::new(algo, hw, mapping, 30.0).unwrap().into_validated()
+    }
+
+    /// Per-pixel scalar evaluation of one seeded frame, the oracle for
+    /// [`FramePlan::simulate`]: normals are drawn per [`FRAME_CHUNK`]
+    /// span (the sampler's stream contract), then each pixel sums its
+    /// source variances, takes the noise, clamps, quantizes, and is
+    /// measured one at a time. Only the clean frame, the DAG pass, and
+    /// the digest tail come from the plan.
+    fn scalar_frame(model: &ValidatedModel, seed: u64, stimulus: &Stimulus) -> FrameSimReport {
+        let plan = model.frame_plan(stimulus).unwrap();
+        let exposure = model.estimate_delay().unwrap().analog_unit_time;
+        let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
+        let clean = &plan.clean;
+        let mut noisy = clean.clone();
+        let mut stages = Vec::new();
+        for (index, stage) in model.noise_chain().iter().enumerate() {
+            let mut rng = functional::stage_rng(seed, index, &stage.unit);
+            if !stage.sources.is_empty() {
+                let mut normals = [0.0; FRAME_CHUNK];
+                for (pixel, value) in noisy.iter_mut().enumerate() {
+                    let k = pixel % FRAME_CHUNK;
+                    if k == 0 {
+                        let span = (clean.len() - pixel).min(FRAME_CHUNK);
+                        rand::normal::fill_standard_normal_fast(&mut rng, &mut normals[..span]);
+                    }
+                    let mut var = 0.0;
+                    for source in &stage.sources {
+                        let rms = match *source {
+                            NoiseSource::PhotonShot {
+                                full_well_electrons,
+                            } => (clean[pixel] / full_well_electrons).sqrt(),
+                            _ => source.rms_fraction(0.0, exposure, temperature_k),
+                        };
+                        var += rms * rms;
+                    }
+                    let std = if var > 0.0 { var.sqrt() } else { 0.0 };
+                    *value = (*value + normals[k] * std).clamp(0.0, 1.0);
+                }
+            }
+            if let Some(bits) = stage.quant_bits {
+                for value in &mut noisy {
+                    *value = camj_digital::quantize::quantize(*value, bits);
+                }
+            }
+            let noise_rms = rms_error(&noisy, clean);
+            stages.push(StageSim {
+                unit: stage.unit.clone(),
+                noise_rms,
+                snr_db: functional::snr_db(plan.signal_rms, noise_rms),
+            });
+        }
+        plan.finish(seed, stages, &noisy)
+    }
+
+    proptest! {
+        /// The planned frame simulation is bit-identical to the scalar
+        /// oracle for arbitrary seeds, stimuli, noise chains, and
+        /// resolutions (up to 6400 pixels, straddling the span length).
+        #[test]
+        fn planned_frame_matches_scalar_oracle(
+            seed in 0u64..u64::MAX / 2,
+            width in 1u32..80,
+            height in 1u32..80,
+            level in 0u32..11,
+            gradient in 0u32..2,
+            noise in 0u32..3,
+        ) {
+            let stimulus = if gradient == 1 {
+                Stimulus::gradient(f64::from(level) / 20.0, f64::from(level) / 10.0)
+            } else {
+                Stimulus::uniform(f64::from(level) / 10.0)
+            };
+            let model = toy_model(width, height, noise);
+            let planned = model.simulate_frame(seed, &stimulus).unwrap();
+            let oracle = scalar_frame(&model, seed, &stimulus);
+            prop_assert_eq!(&planned, &oracle, "{width}x{height} seed {seed} noise {noise}");
+        }
+    }
 }

@@ -41,7 +41,7 @@ use camj_tech::fingerprint::FpHasher;
 use camj_tech::units::Time;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The mean signal level (fraction of full scale) the analytic noise
 /// report attached to every estimate assumes: a mid-scale scene, the
@@ -188,9 +188,7 @@ impl Stimulus {
 
     /// Renders the clean frame: `width * height * channels` values in
     /// the simulator's canonical order (rows, then columns, channels
-    /// interleaved). Both the vectorized planner and the scalar
-    /// reference oracle call this, so their clean frames are
-    /// identical by construction.
+    /// interleaved).
     pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
         let mut clean = Vec::with_capacity(width as usize * height as usize * channels as usize);
         for y in 0..height {
@@ -651,31 +649,42 @@ fn centroid(tensor: &[f64], width: u32, height: u32) -> (f64, f64) {
     (nx, ny)
 }
 
-/// Mean and sample standard deviation (n−1 denominator; `0` when fewer
-/// than two values).
-pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
+/// A per-seed quantity a Monte-Carlo batch reduces to its mean and
+/// sample standard deviation across seeds.
+pub(crate) trait SeedStat: Sized {
+    /// `(mean, std)` of `values`, taken in slice order.
+    fn mean_std(values: &[Self]) -> (Self, Self);
 }
 
-/// Aggregates optional per-seed values: statistics are reported only
-/// when every seed produced one (a noise realisation never changes
-/// whether a chain is noisy, so mixed presence would be a bug upstream).
-pub(crate) fn mean_std_opt(values: &[Option<f64>]) -> (Option<f64>, Option<f64>) {
-    let present: Vec<f64> = values.iter().copied().flatten().collect();
-    if present.len() != values.len() || present.is_empty() {
-        return (None, None);
+/// Plain values: sample standard deviation with the n−1 denominator,
+/// `0` when there are fewer than two values.
+impl SeedStat for f64 {
+    fn mean_std(values: &[f64]) -> (f64, f64) {
+        if values.is_empty() {
+            return (0.0, 0.0);
+        }
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        if values.len() < 2 {
+            return (mean, 0.0);
+        }
+        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
+        (mean, var.sqrt())
     }
-    let (mean, std) = mean_std(&present);
-    (Some(mean), Some(std))
+}
+
+/// Optional values (an SNR): statistics are reported only when every
+/// seed produced one (a noise realisation never changes whether a chain
+/// is noisy, so mixed presence would be a bug upstream).
+impl SeedStat for Option<f64> {
+    fn mean_std(values: &[Option<f64>]) -> (Option<f64>, Option<f64>) {
+        let present: Vec<f64> = values.iter().copied().flatten().collect();
+        if present.len() != values.len() || present.is_empty() {
+            return (None, None);
+        }
+        let (mean, std) = f64::mean_std(&present);
+        (Some(mean), Some(std))
+    }
 }
 
 /// `20·log10(signal / noise)`, or `None` when there is no noise to
@@ -701,17 +710,10 @@ pub(crate) fn stage_rng(seed: u64, stage_index: usize, unit: &str) -> StdRng {
     StdRng::seed_from_u64(hi ^ lo)
 }
 
-/// One standard-normal sample via Box–Muller (the shim RNG only offers
-/// uniforms). Uses the open-closed unit interval so `ln` never sees 0.
-pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1 = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-    let u2 = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn stimulus_grammar_round_trips() {
@@ -791,17 +793,6 @@ mod tests {
         assert_eq!(a.next_u64(), a2.next_u64(), "same stage ⇒ same stream");
         let mut a = stage_rng(42, 0, "PixelArray");
         assert_ne!(a.next_u64(), b.next_u64(), "stages get distinct streams");
-    }
-
-    #[test]
-    fn gaussian_moments_are_plausible() {
-        let mut rng = stage_rng(7, 0, "x");
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance {var}");
     }
 
     #[test]

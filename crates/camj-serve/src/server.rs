@@ -374,6 +374,16 @@ pub fn serve_tcp(listener: TcpListener, config: &ServeConfig) -> std::io::Result
         match listener.accept() {
             Ok((stream, _peer)) => {
                 obs_core::counter("serve.accept", 0, 1);
+                // Join readers whose connection already closed, so the
+                // daemon holds one handle (and one thread stack) per
+                // live connection, not per connection ever accepted.
+                let (finished, live) = std::mem::take(&mut readers)
+                    .into_iter()
+                    .partition(|reader| reader.is_finished());
+                readers = live;
+                for reader in finished {
+                    let _ = reader.join();
+                }
                 let queue = Arc::clone(&core.queue);
                 let stop = Arc::clone(&core.stop);
                 readers.push(std::thread::spawn(move || {

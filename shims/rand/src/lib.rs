@@ -102,34 +102,6 @@ pub mod normal {
     /// split, small enough to stay in L1.
     const BLOCK: usize = 128;
 
-    /// Fills `out` with independent standard-normal samples via
-    /// Box–Muller, two `next_u64` draws per sample.
-    ///
-    /// Bit-compatibility contract: sample `i` is computed from draws
-    /// `2i` and `2i+1` with exactly
-    /// `(-2·ln(u1)).sqrt() · cos(2π·u2)` where
-    /// `u1 = ((bits >> 11) + 1)·2⁻⁵³` (open-closed, so `ln` never sees
-    /// zero) and `u2 = (bits >> 11)·2⁻⁵³` — the same expression a
-    /// one-at-a-time Box–Muller evaluates, so filling a buffer and
-    /// drawing sample-by-sample produce identical `f64` bits. The only
-    /// difference is scheduling: the integer RNG advances a block ahead
-    /// of the transcendental pipeline, which lets `ln`/`cos` run
-    /// without a serial RNG dependency between them.
-    pub fn fill_standard_normal<G: Rng>(rng: &mut G, out: &mut [f64]) {
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let mut u1 = [0.0_f64; BLOCK];
-        let mut u2 = [0.0_f64; BLOCK];
-        for chunk in out.chunks_mut(BLOCK) {
-            for i in 0..chunk.len() {
-                u1[i] = ((rng.next_u64() >> 11) + 1) as f64 * SCALE;
-                u2[i] = (rng.next_u64() >> 11) as f64 * SCALE;
-            }
-            for i in 0..chunk.len() {
-                chunk[i] = (-2.0 * u1[i].ln()).sqrt() * (2.0 * std::f64::consts::PI * u2[i]).cos();
-            }
-        }
-    }
-
     /// Ziggurat layer count. 256 keeps the rejection rate below ~1.6 %,
     /// so the `ln`/`exp` fallback paths are off the hot path entirely.
     const LAYERS: usize = 256;
@@ -173,11 +145,10 @@ pub mod normal {
     /// Fills `out` with independent standard-normal samples via the
     /// Marsaglia–Tsang ziggurat: one `next_u64`, one table compare, and
     /// two multiplies per sample on the ~98 % accept path — no
-    /// transcendentals. This is the Monte-Carlo batch sampler: exactly
-    /// N(0, 1) distributed and fully deterministic for a given
-    /// generator state, but a *different* stream than
-    /// [`fill_standard_normal`], whose Box–Muller draw order is pinned
-    /// by the single-seed frame-digest compatibility contract.
+    /// transcendentals. Exactly N(0, 1) distributed and fully
+    /// deterministic for a given generator state; filling a buffer in
+    /// one call or in consecutive calls split at multiples of the
+    /// 128-sample internal block yields the same stream.
     ///
     /// Bit layout per draw: bits 0–7 select the layer, bit 8 the sign,
     /// bits 11–63 the 53-bit uniform position inside the layer — the
@@ -326,42 +297,6 @@ mod tests {
             let u: usize = rng.random_range(0..3);
             assert!(u < 3);
         }
-    }
-
-    #[test]
-    fn block_fill_matches_one_at_a_time_box_muller() {
-        // The scalar expression `fill_standard_normal` promises to
-        // reproduce, drawn sample-by-sample from an identical stream.
-        let scalar = |rng: &mut StdRng| -> f64 {
-            let u1 = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-            let u2 = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        };
-        // Lengths straddling the internal block size, including 0.
-        for len in [0usize, 1, 5, 127, 128, 129, 300, 1024] {
-            let mut a = StdRng::seed_from_u64(99);
-            let mut b = StdRng::seed_from_u64(99);
-            let mut block = vec![0.0; len];
-            super::normal::fill_standard_normal(&mut a, &mut block);
-            for (i, got) in block.iter().enumerate() {
-                let want = scalar(&mut b);
-                assert_eq!(got.to_bits(), want.to_bits(), "sample {i} of {len}");
-            }
-            // Both generators must land in the same stream position.
-            assert_eq!(a.next_u64(), b.next_u64(), "stream position after {len}");
-        }
-    }
-
-    #[test]
-    fn block_fill_moments_are_plausible() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut samples = vec![0.0; 50_000];
-        super::normal::fill_standard_normal(&mut rng, &mut samples);
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance {var}");
     }
 
     /// The ziggurat sampler is an exact standard normal: first four

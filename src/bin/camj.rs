@@ -576,8 +576,8 @@ fn run_simulate(flags: &Flags) -> ExitCode {
     };
     if samples > 1 {
         // Monte-Carlo batch: seeds seed..seed+N through one shared
-        // frame plan, aggregated per stage. --samples 1 stays on the
-        // single-frame path below, byte-identical to previous releases.
+        // frame plan, aggregated per stage. --samples 1 prints the
+        // single-frame report below (the same frame, unaggregated).
         let seeds: Vec<u64> = (0..u64::from(samples))
             .map(|i| seed.wrapping_add(i))
             .collect();

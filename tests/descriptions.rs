@@ -117,40 +117,49 @@ fn cli_estimate_matches_committed_snapshot() {
     );
 }
 
-#[test]
-fn cli_simulate_matches_committed_snapshot() {
-    let run = |extra_env: Option<(&str, &str)>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
-        cmd.args([
-            "simulate",
-            "--design",
-            "descriptions/quickstart.json",
-            "--seed",
-            "42",
-        ]);
-        if let Some((key, value)) = extra_env {
-            cmd.env(key, value);
-        }
-        let out = cmd.output().expect("camj binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let expected = fs::read_to_string("descriptions/quickstart.simulate.txt").unwrap();
-    let first = run(None);
+/// Runs `camj simulate` with `args`, optionally pinning the rayon
+/// worker count.
+fn simulate_cli(args: &[&str], threads: Option<&str>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
+    cmd.arg("simulate").args(args);
+    if let Some(threads) = threads {
+        cmd.env("RAYON_NUM_THREADS", threads);
+    }
+    let out = cmd.output().expect("camj binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// `camj simulate args` matches the committed `golden` and, since a
+/// simulated frame is a pure function of (model, seed, stimulus), is
+/// byte-identical across repeat runs and thread counts.
+fn assert_simulate_golden(args: &[&str], golden: &str) {
+    let expected = fs::read_to_string(golden).unwrap();
+    let first = simulate_cli(args, None);
     assert_eq!(
         first, expected,
-        "CLI simulate output drifted from descriptions/quickstart.simulate.txt; \
-         regenerate it if the change is intentional"
+        "CLI simulate output drifted from {golden}; regenerate it if the change is intentional"
     );
-    // Byte-identical across repeat runs and thread counts (the ISSUE 5
-    // acceptance bar for `camj simulate --seed 42`).
-    assert_eq!(run(None), first);
-    assert_eq!(run(Some(("RAYON_NUM_THREADS", "8"))), first);
-    assert_eq!(run(Some(("RAYON_NUM_THREADS", "1"))), first);
+    assert_eq!(simulate_cli(args, None), first);
+    for threads in ["1", "2", "8"] {
+        assert_eq!(
+            simulate_cli(args, Some(threads)),
+            first,
+            "RAYON_NUM_THREADS={threads}"
+        );
+    }
+}
+
+#[test]
+fn cli_simulate_matches_committed_snapshot() {
+    assert_simulate_golden(
+        &["--design", "descriptions/quickstart.json", "--seed", "42"],
+        "descriptions/quickstart.simulate.txt",
+    );
 }
 
 #[test]
@@ -159,39 +168,28 @@ fn cli_simulate_full_dag_matches_committed_snapshot() {
     // (descriptions/edgaze_eye.pgm) and a three-stage digital DAG, so
     // this snapshot covers the whole functional pipeline: codec →
     // analog chain → DAG execution → task metrics → digests.
-    let run = |extra_env: Option<(&str, &str)>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
-        cmd.args([
-            "simulate",
+    assert_simulate_golden(
+        &["--design", "descriptions/edgaze.json", "--seed", "42"],
+        "descriptions/edgaze.simulate.txt",
+    );
+}
+
+#[test]
+fn cli_simulate_monte_carlo_matches_committed_snapshot() {
+    // A 16-seed Monte-Carlo batch over the same pipeline: per-stage
+    // means and spreads, task-metric aggregates, and the first seed's
+    // digests.
+    assert_simulate_golden(
+        &[
             "--design",
             "descriptions/edgaze.json",
             "--seed",
             "42",
-        ]);
-        if let Some((key, value)) = extra_env {
-            cmd.env(key, value);
-        }
-        let out = cmd.output().expect("camj binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let expected = fs::read_to_string("descriptions/edgaze.simulate.txt").unwrap();
-    let first = run(None);
-    assert_eq!(
-        first, expected,
-        "CLI simulate output drifted from descriptions/edgaze.simulate.txt; \
-         regenerate it if the change is intentional"
+            "--samples",
+            "16",
+        ],
+        "descriptions/edgaze.simulate-mc16.txt",
     );
-    // The simulated frame is a pure function of (model, seed,
-    // stimulus): byte-identical across repeat runs and thread counts.
-    assert_eq!(run(None), first);
-    assert_eq!(run(Some(("RAYON_NUM_THREADS", "1"))), first);
-    assert_eq!(run(Some(("RAYON_NUM_THREADS", "2"))), first);
-    assert_eq!(run(Some(("RAYON_NUM_THREADS", "8"))), first);
 }
 
 #[test]

@@ -1,8 +1,8 @@
-//! ISSUE 6 acceptance suite, frame-sim half: the vectorized functional
-//! simulation must be byte-identical to the retained scalar reference,
-//! and the Monte-Carlo aggregation (`simulate_frames`, the
-//! `mc_snr:<samples>` objective) must be deterministic across thread
-//! counts and execution modes.
+//! Frame-simulation acceptance suite: a single-seed frame is exactly
+//! the one-seed case of a Monte-Carlo batch, and the Monte-Carlo
+//! aggregation (`simulate_frames`, the `mc_snr:<samples>` objective)
+//! is deterministic across thread counts and execution modes. The
+//! per-pixel scalar oracle lives with the simulator, in camj-core.
 
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ fn force_threads() {
 /// A minimal two-stage analog chain (noisy pixel front end + ADC) at an
 /// arbitrary sensor resolution, so properties can sweep frame sizes the
 /// fixed workload models never exercise — including sizes straddling
-/// the vectorized path's internal chunk length.
+/// the simulator's internal span length.
 fn toy_model(width: u32, height: u32, noisy_pixel: bool, fps: f64) -> ValidatedModel {
     let mut algo = AlgorithmGraph::new();
     algo.add_stage(Stage::input("Input", [width, height, 1]));
@@ -71,12 +71,12 @@ fn toy_model(width: u32, height: u32, noisy_pixel: bool, fps: f64) -> ValidatedM
 }
 
 proptest! {
-    /// The vectorized frame simulation is byte-identical to the scalar
-    /// reference for arbitrary seeds, stimuli, and resolutions —
-    /// digests (128-bit frame fingerprints) and every report field,
-    /// under the forced 8-worker rayon pool.
+    /// `simulate_frame(s)` is member `s` of `simulate_frames(&[s])`:
+    /// same frame digest, same DAG digest, same per-stage RMS bits, for
+    /// arbitrary seeds, stimuli, and resolutions, under the forced
+    /// 8-worker rayon pool.
     #[test]
-    fn vectorized_frame_sim_matches_scalar_reference(
+    fn single_seed_frame_is_its_one_seed_batch(
         seed in 0u64..u64::MAX / 2,
         width in 1u32..80,
         height in 1u32..80,
@@ -91,10 +91,16 @@ proptest! {
             Stimulus::uniform(f64::from(level) / 10.0)
         };
         let model = toy_model(width, height, noisy_pixel == 1, 30.0);
-        let fast = model.simulate_frame(seed, &stimulus).unwrap();
-        let slow = model.simulate_frame_reference(seed, &stimulus).unwrap();
-        prop_assert_eq!(&fast.digest, &slow.digest, "{width}x{height} seed {seed}");
-        prop_assert_eq!(&fast, &slow, "full reports must match bit-for-bit");
+        let frame = model.simulate_frame(seed, &stimulus).unwrap();
+        let batch = model.simulate_frames(&[seed], &stimulus).unwrap();
+        prop_assert_eq!(&frame.digest, &batch.digests[0], "{width}x{height} seed {seed}");
+        let (dag, batch_dag) = (frame.dag.unwrap(), batch.dag.unwrap());
+        prop_assert_eq!(&dag.digest, &batch_dag.digests[0]);
+        prop_assert_eq!(frame.stages.len(), batch.stages.len());
+        for (one, many) in frame.stages.iter().zip(&batch.stages) {
+            prop_assert_eq!(one.noise_rms.to_bits(), many.noise_rms_mean.to_bits());
+        }
+        prop_assert_eq!(frame.output.noise_rms.to_bits(), batch.output.noise_rms_mean.to_bits());
     }
 
     /// `simulate_frames` is deterministic: the same seed list produces
@@ -123,19 +129,6 @@ proptest! {
             prop_assert_eq!(mc.stages[0].noise_rms_mean, mc.stages[0].noise_rms_mean.abs());
         }
     }
-}
-
-/// The scalar reference at the committed quickstart snapshot point:
-/// pins `simulate_frame` (and therefore the PR 5 snapshot digest) to
-/// the exact reference output, not just self-consistency.
-#[test]
-fn quickstart_digest_matches_reference_and_snapshot_seed() {
-    let model = quickstart::model(30.0).unwrap().into_validated();
-    let fast = model.simulate_frame(42, &Stimulus::default()).unwrap();
-    let slow = model
-        .simulate_frame_reference(42, &Stimulus::default())
-        .unwrap();
-    assert_eq!(fast, slow);
 }
 
 /// Monte-Carlo statistics behave like statistics: the spread is small

@@ -618,3 +618,42 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
     );
     daemon.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Connection lifecycle
+// ---------------------------------------------------------------------
+
+/// The daemon's virtual memory size in KiB, when the platform exposes
+/// it (`/proc/<pid>/status`).
+fn vm_size_kib(pid: u32) -> Option<u64> {
+    let status = fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmSize:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn hundreds_of_sequential_connections_leave_no_reader_threads_behind() {
+    let daemon = Daemon::spawn(&["--workers", "1"], &[]);
+    let pid = daemon.child.as_ref().expect("daemon running").id();
+    let one_shot = |id: u64| {
+        let lines = raw_roundtrip(&daemon.addr, &estimate_request(id));
+        assert!(lines.last().is_some_and(|l| l.contains("\"done\"")));
+    };
+    // Warm up the caches and the thread-stack allocator first.
+    for id in 0..20 {
+        one_shot(id);
+    }
+    let before = vm_size_kib(pid);
+    for id in 20..320 {
+        one_shot(id);
+    }
+    // Every reader thread holds a 2 MiB stack until it is joined: 300
+    // connections would add ~600 MiB if finished readers piled up.
+    if let (Some(before), Some(after)) = (before, vm_size_kib(pid)) {
+        assert!(
+            after < before + 64 * 1024,
+            "daemon address space grew from {before} KiB to {after} KiB over 300 connections"
+        );
+    }
+    daemon.shutdown();
+}
