@@ -26,7 +26,9 @@
 //!   (TCP, or `--stdio` for tests/CI) feeding a bounded job queue with
 //!   backpressure into a fixed worker pool, each job wrapped in
 //!   `catch_unwind` so a panicking request answers with an `error`
-//!   frame while the daemon stays up;
+//!   frame while the daemon stays up. Accept and reads block in the
+//!   kernel with no timeout; `shutdown` wakes them with a loopback
+//!   connect and `Shutdown::Read`, then drains the queue;
 //! * [`client`] — the `camj --connect` side: one request, collect
 //!   frames until `done`.
 //!

@@ -8,19 +8,22 @@
 //! the [`SharedState`], and write response frames under the owning
 //! connection's writer lock so frames never interleave mid-line.
 //!
+//! Nothing polls: every thread blocks in `accept`, `read`, or on the
+//! queue's condvars until it has work, and shutdown wakes each blocking
+//! point explicitly (see [`serve_tcp`]).
+//!
 //! Panic isolation: each job runs inside `catch_unwind`. A panicking
 //! request — a handler bug, or an armed fault injection — produces an
 //! `error` frame (`"panicked: …"`) plus the `done` terminator on its
 //! own connection; the worker, the connection, and the daemon all stay
 //! up.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 
 use crate::handler::SharedState;
 use crate::protocol::{parse_request, serialize_frame, stamp_line, Frame, Reject, MAX_LINE_BYTES};
@@ -54,6 +57,21 @@ impl Default for ServeConfig {
 /// A connection's outgoing half: one lock per connection, held per
 /// frame line, so concurrent workers never interleave mid-line.
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
+
+/// Writes through a TCP connection's one socket handle, which its
+/// reader and the live-connection registry share: one descriptor per
+/// connection.
+struct SocketWriter(Arc<TcpStream>);
+
+impl Write for SocketWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&*self.0).flush()
+    }
+}
 
 /// One unit of work: a raw line (or an oversize rejection) plus where
 /// the answer goes.
@@ -133,49 +151,57 @@ impl JobQueue {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
+
+    fn is_closed(&self) -> bool {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed
+    }
 }
 
 /// A running daemon core: state + queue + workers. The transports
 /// ([`serve_stdio`], [`serve_tcp`]) feed it lines and shut it down.
 struct Core {
     queue: Arc<JobQueue>,
-    stop: Arc<AtomicBool>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Core {
-    fn start(config: &ServeConfig) -> std::io::Result<Self> {
+    /// Starts the worker pool. The worker that answers a `shutdown`
+    /// request closes the queue, then calls `wake` to unblock whatever
+    /// the transport is waiting in.
+    fn start(
+        config: &ServeConfig,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> std::io::Result<Self> {
         let state = Arc::new(SharedState::new(
             config.cache_dir.as_deref(),
             config.fault_injection,
         )?);
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let stop = Arc::new(AtomicBool::new(false));
+        let wake = Arc::new(wake);
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let state = Arc::clone(&state);
                 let queue = Arc::clone(&queue);
-                let stop = Arc::clone(&stop);
+                let wake = Arc::clone(&wake);
                 std::thread::spawn(move || {
                     while let Some(job) = queue.pop() {
-                        let shutdown = process_job(&state, &job);
-                        if shutdown {
-                            stop.store(true, Ordering::SeqCst);
+                        if process_job(&state, &job) {
                             queue.close();
+                            wake();
                         }
                     }
                 })
             })
             .collect();
-        Ok(Self {
-            queue,
-            stop,
-            workers,
-        })
+        Ok(Self { queue, workers })
     }
 
-    fn finish(self) {
-        self.queue.close();
+    /// Waits for the workers, which exit once the queue is closed and
+    /// drained.
+    fn join(self) {
         for worker in self.workers {
             let _ = worker.join();
         }
@@ -262,17 +288,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Reads one `\n`-terminated line of at most `max` bytes. Oversized
-/// lines are drained to their newline and reported as `Err(total
-/// bytes)`, so one bad line costs an error frame, not the connection.
-///
-/// Read timeouts (`WouldBlock`/`TimedOut`) retry **inside** this loop
-/// — any partially-read line stays buffered — and only bail out (as a
-/// clean `None`) once `interrupted` says the daemon is stopping.
+/// Reads one `\n`-terminated line of at most `max` bytes, blocking
+/// until it is complete or the input ends. Oversized lines are drained
+/// to their newline and reported as `Err(total bytes)`, so one bad line
+/// costs an error frame, not the connection.
 fn read_bounded_line(
     reader: &mut impl BufRead,
     max: usize,
-    interrupted: impl Fn() -> bool,
 ) -> std::io::Result<Option<Result<String, usize>>> {
     let mut buf: Vec<u8> = Vec::new();
     let mut dropped = 0usize;
@@ -280,15 +302,6 @@ fn read_bounded_line(
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if interrupted() {
-                    return Ok(None);
-                }
-                continue;
-            }
             Err(e) => return Err(e),
         };
         if chunk.is_empty() {
@@ -329,108 +342,189 @@ fn read_bounded_line(
     }
 }
 
-/// Runs the daemon over stdin/stdout: the single-connection transport
-/// CI and tests drive. Returns when stdin reaches EOF or a `shutdown`
-/// request lands, after every queued request has been answered.
-pub fn serve_stdio(config: &ServeConfig) -> std::io::Result<()> {
-    let core = Core::start(config)?;
-    let writer: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-    let stdin = std::io::stdin();
-    let mut reader = BufReader::new(stdin.lock());
-    eprintln!("serve: ready on stdio ({} workers)", config.workers.max(1));
-    let stop = Arc::clone(&core.stop);
-    while !core.stop.load(Ordering::SeqCst) {
-        match read_bounded_line(&mut reader, MAX_LINE_BYTES, || stop.load(Ordering::SeqCst))? {
-            None => break,
-            Some(Ok(line)) if line.trim().is_empty() => continue,
+/// Feeds one input's lines into the queue until the input ends or the
+/// queue closes.
+fn feed(mut reader: impl BufRead, queue: &JobQueue, writer: &SharedWriter) -> std::io::Result<()> {
+    loop {
+        match read_bounded_line(&mut reader, MAX_LINE_BYTES)? {
+            None => return Ok(()),
+            Some(Ok(line)) if line.trim().is_empty() => {}
             Some(line) => {
-                if !core.queue.push(Job {
+                if !queue.push(Job {
                     line,
-                    writer: Arc::clone(&writer),
+                    writer: Arc::clone(writer),
                 }) {
-                    break;
+                    return Ok(());
                 }
             }
         }
     }
-    core.finish();
-    Ok(())
+}
+
+/// Runs the daemon over stdin/stdout: the single-connection transport
+/// CI and tests drive. Returns when stdin reaches EOF or a `shutdown`
+/// request lands, after every queued request has been answered.
+pub fn serve_stdio(config: &ServeConfig) -> std::io::Result<()> {
+    let core = Core::start(config, || {})?;
+    let writer: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::stdout())));
+    eprintln!("serve: ready on stdio ({} workers)", config.workers.max(1));
+    // Nothing can wake a read blocked on stdin, so the reader runs on a
+    // thread of its own that `shutdown` does not wait for: the workers
+    // exit once the queue closes — on `shutdown`, or here at EOF — and
+    // the process exit ends the reader.
+    let (failed, read_error) = mpsc::channel();
+    let queue = Arc::clone(&core.queue);
+    std::thread::spawn(move || {
+        if let Err(e) = feed(std::io::stdin().lock(), &queue, &writer) {
+            let _ = failed.send(e);
+        }
+        queue.close();
+    });
+    core.join();
+    read_error.try_recv().map_or(Ok(()), Err)
 }
 
 /// Runs the daemon on a TCP listener: one reader thread per accepted
 /// connection, all feeding the shared queue. Prints
 /// `serve: listening on <addr>` to stderr once ready (tests parse it).
 /// Returns after a `shutdown` request drains the queue.
+///
+/// Every thread blocks in the kernel — the loop in `accept`, readers in
+/// `read` — and shutdown wakes each one: the worker answering
+/// `shutdown` connects once to the listener, and the loop, seeing the
+/// queue closed, shuts the read half of every live connection so its
+/// reader sees EOF. Write halves stay open until the workers have
+/// drained the queue.
 pub fn serve_tcp(listener: TcpListener, config: &ServeConfig) -> std::io::Result<()> {
-    let core = Core::start(config)?;
-    listener.set_nonblocking(true)?;
+    let local = listener.local_addr()?;
+    let wake = wake_addr(local);
+    let core = Core::start(config, move || {
+        // Without the wake-up the loop leaves `accept` only when the
+        // next client connects; say why the daemon lingers.
+        if let Err(e) = TcpStream::connect(wake) {
+            eprintln!("serve: shutdown could not wake the accept loop at {wake}: {e}");
+        }
+    })?;
     eprintln!(
-        "serve: listening on {} ({} workers)",
-        listener.local_addr()?,
+        "serve: listening on {local} ({} workers)",
         config.workers.max(1)
     );
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !core.stop.load(Ordering::SeqCst) {
+    // The sockets of live connections, so shutdown can end their reads.
+    // Each entry is the connection's one socket handle, shared with its
+    // reader and writer; a reader removes its entry as its last step.
+    let live: Arc<Mutex<HashMap<u64, Arc<TcpStream>>>> = Arc::default();
+    let mut readers: Vec<(u64, std::thread::JoinHandle<()>)> = Vec::new();
+    let mut next_key = 0u64;
+    let accepted = loop {
         match listener.accept() {
+            Ok(_) if core.queue.is_closed() => break Ok(()),
             Ok((stream, _peer)) => {
                 obs_core::counter("serve.accept", 0, 1);
                 // Join readers whose connection already closed, so the
-                // daemon holds one handle (and one thread stack) per
-                // live connection, not per connection ever accepted.
-                let (finished, live) = std::mem::take(&mut readers)
-                    .into_iter()
-                    .partition(|reader| reader.is_finished());
-                readers = live;
-                for reader in finished {
+                // daemon holds one thread (its stack and malloc arena)
+                // per live connection, not per connection ever accepted.
+                // Each has left `live` and is only returning.
+                let (finished, running): (Vec<_>, Vec<_>) = {
+                    let live = live.lock().unwrap_or_else(PoisonError::into_inner);
+                    std::mem::take(&mut readers)
+                        .into_iter()
+                        .partition(|(key, _)| !live.contains_key(key))
+                };
+                readers = running;
+                for (_, reader) in finished {
                     let _ = reader.join();
                 }
+                let stream = Arc::new(stream);
+                next_key += 1;
+                let key = next_key;
+                live.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(key, Arc::clone(&stream));
                 let queue = Arc::clone(&core.queue);
-                let stop = Arc::clone(&core.stop);
-                readers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &queue, &stop);
-                }));
+                let live = Arc::clone(&live);
+                let reader = std::thread::spawn(move || {
+                    let _ = serve_connection(stream, &queue);
+                    live.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .remove(&key);
+                });
+                readers.push((key, reader));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                core.finish();
-                return Err(e);
-            }
+            // A client that reset before `accept` took it costs only
+            // that connection.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(e) => break Err(e),
         }
+    };
+    // Close the queue first, so readers blocked on a full queue give up,
+    // then end every blocked read. Only the read halves shut: queued
+    // jobs still write their responses while the workers drain.
+    core.queue.close();
+    for socket in live.lock().unwrap_or_else(PoisonError::into_inner).values() {
+        let _ = socket.shutdown(Shutdown::Read);
     }
-    core.finish();
-    for reader in readers {
+    for (_, reader) in readers {
         let _ = reader.join();
     }
-    Ok(())
+    core.join();
+    accepted
 }
 
-/// One connection's read loop: parse lines, enqueue jobs, poll the
-/// stop flag between reads via a socket timeout.
-fn serve_connection(stream: TcpStream, queue: &JobQueue, stop: &AtomicBool) -> std::io::Result<()> {
+/// Where the shutdown wake-up connects: the listener's own address, an
+/// unspecified IP (`0.0.0.0`, `::`) mapped to loopback of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One connection's read loop: parse lines and enqueue jobs until the
+/// client closes, the daemon shuts the read half, or the queue closes.
+fn serve_connection(stream: Arc<TcpStream>, queue: &JobQueue) -> std::io::Result<()> {
     let _span = obs_core::span("serve.accept");
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     // Frames are written whole (see `process_job`); Nagle only adds
     // delayed-ACK stalls between pipelined requests.
     stream.set_nodelay(true)?;
-    let writer: SharedWriter = Arc::new(Mutex::new(Box::new(stream.try_clone()?)));
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_bounded_line(&mut reader, MAX_LINE_BYTES, || stop.load(Ordering::SeqCst)) {
-            Ok(None) => break,
-            Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
-            Ok(Some(line)) => {
-                if !queue.push(Job {
-                    line,
-                    writer: Arc::clone(&writer),
-                }) {
-                    break;
-                }
-            }
-            Err(_) => break,
+    let writer: SharedWriter = Arc::new(Mutex::new(Box::new(SocketWriter(Arc::clone(&stream)))));
+    feed(BufReader::new(&*stream), queue, &writer)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback_of_their_family() {
+        let cases = [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("127.0.0.1:7878", "127.0.0.1:7878"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+            ("[::1]:80", "[::1]:80"),
+        ];
+        for (bound, woken) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), woken.parse().unwrap(), "{bound}");
         }
     }
-    Ok(())
+
+    #[test]
+    fn bounded_lines_split_drain_oversize_and_keep_a_final_fragment() {
+        let input = "short\r\n".to_owned() + &"x".repeat(20) + "\nok\ntail";
+        let mut reader = BufReader::with_capacity(4, input.as_bytes());
+        let mut next = || read_bounded_line(&mut reader, 8).unwrap();
+        assert_eq!(next(), Some(Ok("short".to_owned())));
+        assert_eq!(next(), Some(Err(21)));
+        assert_eq!(next(), Some(Ok("ok".to_owned())));
+        assert_eq!(next(), Some(Ok("tail".to_owned())));
+        assert_eq!(next(), None);
+    }
 }

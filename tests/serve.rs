@@ -1,16 +1,17 @@
 //! End-to-end tests for the `camj serve` daemon: the stdio transport,
 //! concurrent-client dedup determinism, disk-tier warm starts and
 //! corruption recovery, panic isolation, the warm-repeat speedup the
-//! serving layer exists for, and the sweep/pareto/search captured-panic
-//! exit codes.
+//! serving layer exists for, the sweep/pareto/search captured-panic
+//! exit codes, and the connection lifecycle (prompt accepts, shutdown
+//! with idle and half-sent connections open).
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::{Arc, Barrier, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 use camj_serve::protocol::{
     parse_frame, serialize_request, Frame, FrameKind, Request, RequestKind,
@@ -20,6 +21,21 @@ use serde_json::Value;
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
+
+/// Tests that time the daemon run alone: they hold this lock
+/// exclusively and every other test holds it shared, so no other daemon
+/// or CLI run competes for the CPU while a latency is measured.
+static CPU: RwLock<()> = RwLock::new(());
+
+/// The lock every test that does not time the daemon holds.
+fn shared_cpu() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The lock a timing test holds for its whole run.
+fn exclusive_cpu() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A `camj serve` child on a fresh TCP port, killed on drop.
 struct Daemon {
@@ -60,15 +76,18 @@ impl Daemon {
         }
     }
 
-    /// Sends `shutdown` and waits for a clean exit.
+    /// Sends `shutdown` and waits for a clean exit within [`EXIT_LIMIT`].
     fn shutdown(mut self) {
         let mut request = Request::new(RequestKind::Shutdown);
         request.id = 999;
         let frames = camj_serve::roundtrip(&self.addr, &request).expect("shutdown answers");
         assert!(frames.iter().any(|f| f.frame == FrameKind::Result));
         let mut child = self.child.take().expect("daemon still running");
-        let status = child.wait().expect("daemon exits");
-        assert!(status.success(), "daemon exit status: {status:?}");
+        let status = wait_within(&mut child, EXIT_LIMIT);
+        assert!(
+            status.is_some_and(|s| s.success()),
+            "daemon exit status: {status:?}"
+        );
     }
 }
 
@@ -78,6 +97,26 @@ impl Drop for Daemon {
             let _ = child.kill();
             let _ = child.wait();
         }
+    }
+}
+
+/// How long a daemon may take to exit once `shutdown` is answered.
+const EXIT_LIMIT: Duration = Duration::from_secs(5);
+
+/// Waits up to `limit` for `child` to exit; past it, kills the child
+/// and returns `None`.
+fn wait_within(child: &mut Child, limit: Duration) -> Option<ExitStatus> {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("child status is readable") {
+            return Some(status);
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -112,6 +151,22 @@ fn sweep_request(id: u64, points: usize) -> Request {
     request
 }
 
+/// A 1024-point sweep of the heaviest committed design, so per-point
+/// estimation dominates the response transport in both build profiles.
+/// A replay still parses the inline design (about 1 ms in a debug
+/// build), a fixed cost this many points amortise well past the 10x the
+/// warm-repeat test asserts.
+fn heavy_sweep_request(id: u64) -> Request {
+    let design: Value =
+        serde_json::from_str(&fs::read_to_string("descriptions/custom_chip.json").unwrap())
+            .unwrap();
+    let mut request = Request::new(RequestKind::Sweep);
+    request.id = id;
+    request.design = Some(design);
+    request.fps = Some((1..=1024).map(|i| 24.0 + i as f64).collect());
+    request
+}
+
 /// Sends one raw request line and returns the daemon's response for
 /// `id` as raw lines (byte-comparable), up to and including `done`.
 fn raw_roundtrip(addr: &str, request: &Request) -> Vec<String> {
@@ -121,7 +176,12 @@ fn raw_roundtrip(addr: &str, request: &Request) -> Vec<String> {
     line.push('\n');
     stream.write_all(line.as_bytes()).unwrap();
     stream.flush().unwrap();
-    let mut reader = BufReader::new(stream);
+    read_response(&mut BufReader::new(stream), request.id)
+}
+
+/// Reads the response for `id` off a connection as raw lines, up to and
+/// including its `done` frame, skipping frames for other ids.
+fn read_response(reader: &mut impl BufRead, id: u64) -> Vec<String> {
     let mut lines = Vec::new();
     loop {
         let mut next = String::new();
@@ -132,7 +192,7 @@ fn raw_roundtrip(addr: &str, request: &Request) -> Vec<String> {
         );
         let text = next.trim_end().to_owned();
         let frame = parse_frame(&text).expect("daemon emits valid frames");
-        if frame.id != request.id {
+        if frame.id != id {
             continue;
         }
         let done = frame.frame == FrameKind::Done;
@@ -177,6 +237,7 @@ fn counter(body: &Value, path: &str) -> u64 {
 
 #[test]
 fn stdio_smoke_full_protocol_session() {
+    let _cpu = shared_cpu();
     let mut child = Command::new(env!("CARGO_BIN_EXE_camj"))
         .args(["serve", "--stdio", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -242,12 +303,37 @@ fn stdio_smoke_full_protocol_session() {
     assert_eq!(body.get("stopping"), Some(&Value::Bool(true)));
 }
 
+#[test]
+fn stdio_shutdown_returns_while_stdin_stays_open() {
+    let _cpu = shared_cpu();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args(["serve", "--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("camj serve --stdio spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut shutdown = Request::new(RequestKind::Shutdown);
+    shutdown.id = 1;
+    writeln!(stdin, "{}", serialize_request(&shutdown)).unwrap();
+    stdin.flush().unwrap();
+    // `stdin` stays open: the daemon must return on `shutdown` alone.
+    let status = wait_within(&mut child, EXIT_LIMIT);
+    drop(stdin);
+    assert!(
+        status.is_some_and(|s| s.success()),
+        "daemon did not exit cleanly within {EXIT_LIMIT:?} of shutdown: {status:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: dedup determinism (satellite 2)
 // ---------------------------------------------------------------------
 
 #[test]
 fn concurrent_identical_sweeps_dedup_to_one_execution() {
+    let _cpu = shared_cpu();
     const CLIENTS: usize = 4;
     let mut streams_by_rayon: Vec<Vec<String>> = Vec::new();
     for rayon_threads in ["1", "2", "8"] {
@@ -308,6 +394,7 @@ fn concurrent_identical_sweeps_dedup_to_one_execution() {
 
 #[test]
 fn disk_tier_survives_restart_and_heals_damage() {
+    let _cpu = shared_cpu();
     let cache_dir = temp_dir("tier");
     let dir_flag = cache_dir.to_str().unwrap();
 
@@ -407,6 +494,7 @@ fn disk_tier_survives_restart_and_heals_damage() {
 
 #[test]
 fn injected_panic_yields_error_frame_and_daemon_survives() {
+    let _cpu = shared_cpu();
     // Reference: a clean daemon's cold estimate.
     let clean = Daemon::spawn(&["--workers", "2"], &[]);
     let reference = raw_roundtrip(&clean.addr, &estimate_request(21));
@@ -446,20 +534,13 @@ fn injected_panic_yields_error_frame_and_daemon_survives() {
 
 #[test]
 fn warm_repeat_of_a_cold_sweep_is_ten_times_faster() {
+    let _cpu = exclusive_cpu();
     let daemon = Daemon::spawn(&["--workers", "2"], &[]);
-    // The heaviest committed design, so per-point estimation dominates
-    // the response transport in both build profiles.
-    let design: Value =
-        serde_json::from_str(&fs::read_to_string("descriptions/custom_chip.json").unwrap())
-            .unwrap();
-    let mut request = Request::new(RequestKind::Sweep);
-    request.id = 31;
-    request.design = Some(design);
-    request.fps = Some((1..=256).map(|i| 24.0 + i as f64).collect());
+    let request = heavy_sweep_request(31);
 
     // Time the raw exchange on one persistent connection, without
     // client-side JSON parsing, so the measurement is the daemon's
-    // latency — not accept-loop polling or test-harness decoding.
+    // latency — not connection setup or test-harness decoding.
     let stream = TcpStream::connect(&daemon.addr).expect("connects");
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream);
@@ -498,6 +579,7 @@ fn warm_repeat_of_a_cold_sweep_is_ten_times_faster() {
 
 #[test]
 fn sweep_pareto_search_exit_one_on_captured_panics() {
+    let _cpu = shared_cpu();
     let variants: [(&str, &[&str]); 3] = [
         ("sweep", &["--json"]),
         ("pareto", &[]),
@@ -563,6 +645,7 @@ fn sweep_pareto_search_exit_one_on_captured_panics() {
 
 #[test]
 fn connect_flag_runs_subcommands_against_the_daemon() {
+    let _cpu = shared_cpu();
     let daemon = Daemon::spawn(&["--workers", "2"], &[]);
 
     let run = || {
@@ -633,7 +716,11 @@ fn vm_size_kib(pid: u32) -> Option<u64> {
 
 #[test]
 fn hundreds_of_sequential_connections_leave_no_reader_threads_behind() {
-    let daemon = Daemon::spawn(&["--workers", "1"], &[]);
+    let _cpu = shared_cpu();
+    // One malloc arena: glibc otherwise maps a 64 MiB arena for each
+    // reader that allocates while an earlier one still holds its own,
+    // which the bound below would mistake for readers left behind.
+    let daemon = Daemon::spawn(&["--workers", "1"], &[("MALLOC_ARENA_MAX", "1")]);
     let pid = daemon.child.as_ref().expect("daemon running").id();
     let one_shot = |id: u64| {
         let lines = raw_roundtrip(&daemon.addr, &estimate_request(id));
@@ -656,4 +743,109 @@ fn hundreds_of_sequential_connections_leave_no_reader_threads_behind() {
         );
     }
     daemon.shutdown();
+}
+
+#[test]
+fn idle_daemon_accepts_new_connections_promptly() {
+    let _cpu = exclusive_cpu();
+    const REQUESTS: usize = 21;
+    let daemon = Daemon::spawn(&["--workers", "1"], &[]);
+    let mut request = Request::new(RequestKind::Stats);
+    request.id = 5;
+    let mut elapsed: Vec<Duration> = (0..REQUESTS)
+        .map(|_| {
+            // Let the daemon go idle before every one-shot request.
+            std::thread::sleep(Duration::from_millis(25));
+            let started = Instant::now();
+            let lines = raw_roundtrip(&daemon.addr, &request);
+            assert!(lines.last().is_some_and(|l| l.contains("\"done\"")));
+            started.elapsed()
+        })
+        .collect();
+    elapsed.sort();
+    let median = elapsed[REQUESTS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect-to-done time on an idle daemon is {median:?} (all: {elapsed:?})"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_open_connections_and_drains_queued_requests() {
+    let _cpu = shared_cpu();
+    let daemon = Daemon::spawn(&["--workers", "2"], &[]);
+    let reference = raw_roundtrip(&daemon.addr, &estimate_request(61));
+
+    // One connection that never sends, one stuck mid-line.
+    let _idle = TcpStream::connect(&daemon.addr).expect("connects");
+    let mut half = TcpStream::connect(&daemon.addr).expect("connects");
+    half.write_all(b"{\"id\":70,\"kind\":").unwrap();
+
+    // A third connection pipelines a heavy cold sweep, a repeat of the
+    // reference request and a probe. The queue pops in push order, so
+    // once the probe is answered a worker holds the sweep, and its
+    // response is owed however `shutdown` races it.
+    let mut queued = TcpStream::connect(&daemon.addr).expect("connects");
+    queued.set_nodelay(true).unwrap();
+    let mut probe = Request::new(RequestKind::Stats);
+    probe.id = 60;
+    let batch: String = [heavy_sweep_request(62), estimate_request(61), probe]
+        .iter()
+        .map(|request| serialize_request(request) + "\n")
+        .collect();
+    queued.write_all(batch.as_bytes()).unwrap();
+    let mut queued = BufReader::new(queued);
+    let mut lines: Vec<String> = Vec::new();
+    loop {
+        let mut next = String::new();
+        assert_ne!(
+            queued.read_line(&mut next).unwrap(),
+            0,
+            "eof before the probe"
+        );
+        let frame = parse_frame(next.trim_end()).expect("daemon emits valid frames");
+        lines.push(next.trim_end().to_owned());
+        if frame.id == 60 && frame.frame == FrameKind::Done {
+            break;
+        }
+    }
+
+    // The rest of the connection is read while the daemon shuts down:
+    // the sweep's response need not fit in the socket buffers.
+    let rest = std::thread::spawn(move || {
+        let mut rest = String::new();
+        queued.read_to_string(&mut rest).map(|_| rest)
+    });
+    // `shutdown` from a fourth connection; the daemon must still exit
+    // cleanly and promptly with the other three open.
+    daemon.shutdown();
+    let rest = rest.join().unwrap().expect("reads until the daemon closes");
+    lines.extend(rest.lines().map(str::to_owned));
+
+    let response = |id: u64| -> Vec<String> {
+        lines
+            .iter()
+            .filter(|l| parse_frame(l).unwrap().id == id)
+            .cloned()
+            .collect()
+    };
+    let sweep = response(62);
+    assert!(
+        sweep
+            .last()
+            .is_some_and(|l| parse_frame(l).unwrap().frame == FrameKind::Done),
+        "the sweep must still get its done frame: {sweep:?}"
+    );
+    assert!(
+        sweep
+            .iter()
+            .all(|l| parse_frame(l).unwrap().frame != FrameKind::Error),
+        "the sweep must succeed: {sweep:?}"
+    );
+    assert_eq!(
+        response(61),
+        reference,
+        "a request answered around shutdown must match its earlier response"
+    );
 }
