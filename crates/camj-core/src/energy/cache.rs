@@ -14,7 +14,12 @@
 //!   share one simulation,
 //! * **energy kernel outputs** (`Vec<EnergyItem>`): the per-domain
 //!   energy bookings of [`super::EnergyKernel`]s, keyed by component
-//!   parameters + inferred access counts + the delay budget,
+//!   parameters + inferred access counts + the delay budget. The key is
+//!   two-level — `H(kind tag, key domain, invariant digest, per-point
+//!   input)`, built only in `kernel.rs` — where the invariant digest
+//!   comes from the model's kernel plan (resolved once per model) and
+//!   the per-point input is `T_A` (analog), the frame time (digital
+//!   memory), or nothing (digital compute, interfaces),
 //! * **stall verdicts**: the fastest per-stage readout time known to
 //!   pass the constant-rate stall check for a given topology — stall
 //!   freedom is monotone in the readout time, so one cached pass settles
@@ -60,6 +65,11 @@
 //! a tier-warmed cache replays byte-identical estimates. Elastic
 //! simulations stay memory-only — post-arena they cost well under a
 //! millisecond to recompute, less than a disk round-trip is worth.
+//! Energy keys carry a key domain (`camj.kernel/v2`), so entries a
+//! build with another key scheme wrote to the tier are never found:
+//! each misses once, is recomputed, and is written through under the
+//! current key — a one-time cost after an upgrade, never a wrong
+//! replay.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,27 +1,40 @@
 //! Per-domain energy kernels: the four independent passes of the
-//! **energy** stage, each behind the unified [`EnergyKernel`] trait.
+//! **energy** stage, each behind the unified [`EnergyKernel`] trait,
+//! and the per-model kernel plan that resolves their inputs once.
 //!
-//! A kernel is a *resolved* computation: its constructor runs the
-//! model-wide derivations (analog access counting, simulated traffic
-//! aggregation, DNN weight-loading attribution) once, leaving `compute`
-//! a pure function of the captured inputs. That purity is what makes
-//! kernels content-addressable — [`EnergyKernel::fingerprint`] hashes
-//! exactly the captured inputs (component parameters, inferred access
-//! counts, the delay budget, technology-derived energies), so two
-//! kernels with equal fingerprints are guaranteed to produce
-//! bit-identical [`EnergyItem`] lists, and the cross-point
+//! A kernel splits into two parts. Its **FPS-invariant inputs** —
+//! analog access counts and stage attribution, digital-compute rows,
+//! simulated memory traffic, interface hop lists — depend only on the
+//! model (and its FPS-independent elastic simulation), so a
+//! [`ValidatedModel`] resolves them once, together with a digest of
+//! each, into one `KernelPlan` shared by every frame-rate point and
+//! every clone of the model. Its **per-point input** is the one number
+//! the delay solve changes: the analog unit time `T_A` for the analog
+//! kernel, the frame time for digital memory; digital compute and the
+//! interfaces have none.
+//!
+//! That split is the cache key. Every energy-kernel key is two-level,
+//! `H(kind tag, key domain, invariant digest, per-point input)`, built
+//! in one place (`kernel_key`): a sweep point pays for hashing ~50
+//! bytes per kernel, not for re-hashing every component parameter.
+//! Because the invariant digest covers exactly the inputs `compute`
+//! reads besides the per-point one, two keys are equal exactly when the
+//! kernels' full inputs are — equal key ⇒ bit-identical
+//! [`EnergyItem`] list — and the cross-point
 //! [`EstimateCache`](super::EstimateCache) can replay one's output for
-//! the other.
+//! the other. Kernel structs themselves are only assembled (from
+//! borrowed plan inputs) when a kernel actually runs: on a cache miss,
+//! or on the uncached path.
 //!
 //! The four kernels mirror the paper's Eq. 1 decomposition plus
 //! communication:
 //!
-//! | kernel | paper | books |
-//! |---|---|---|
-//! | [`AnalogKernel`] | Eq. 2–13 | pixel arrays, ADCs, analog PEs/memories |
-//! | [`DigitalComputeKernel`] | Eq. 15 | pipelined accelerators, systolic arrays |
-//! | [`DigitalMemoryKernel`] | Eq. 16 | SRAM/STT-RAM dynamic traffic + leakage |
-//! | [`InterfaceKernel`] | Eq. 17 | µTSV / MIPI layer crossings |
+//! | kernel | paper | books | per-point input |
+//! |---|---|---|---|
+//! | [`AnalogKernel`] | Eq. 2–13 | pixel arrays, ADCs, analog PEs/memories | `T_A` |
+//! | [`DigitalComputeKernel`] | Eq. 15 | pipelined accelerators, systolic arrays | — |
+//! | [`DigitalMemoryKernel`] | Eq. 16 | SRAM/STT-RAM dynamic traffic + leakage | frame time |
+//! | [`InterfaceKernel`] | Eq. 17 | µTSV / MIPI layer crossings | — |
 
 use std::collections::BTreeMap;
 
@@ -30,13 +43,20 @@ use camj_tech::fingerprint::{Fingerprint, Fingerprintable, FpHasher};
 use camj_tech::units::Time;
 
 use crate::delay::DelayEstimate;
+use crate::functional::NoiseStage;
 use crate::hw::{DigitalUnitKind, HardwareDesc, Layer};
 use crate::route::Route;
 use crate::sw::StageKind;
 
 use super::breakdown::EnergyItem;
 use super::category::EnergyCategory;
-use super::pipeline::{StagePlan, ValidatedModel};
+use super::pipeline::{StagePlan, ValidatedModel, ENERGY_KERNEL_COUNT};
+
+/// Domain tag of every energy-kernel cache key. Bump it when a kernel's
+/// inputs, its digest feed, or the key layout change, so stale keys —
+/// including entries an older build wrote to a persistent tier — can
+/// never alias new ones.
+const KERNEL_KEY_DOMAIN: &str = "camj.kernel/v2";
 
 /// Which energy domain a kernel books.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,7 +74,7 @@ pub enum KernelKind {
 impl KernelKind {
     /// All kinds, in booking order (the order items appear in a
     /// breakdown).
-    pub const ALL: [KernelKind; 4] = [
+    pub const ALL: [KernelKind; ENERGY_KERNEL_COUNT] = [
         KernelKind::Analog,
         KernelKind::DigitalCompute,
         KernelKind::DigitalMemory,
@@ -82,46 +102,142 @@ impl KernelKind {
     }
 }
 
-/// A resolved, content-addressable energy computation.
+/// The cache key of one kernel invocation:
+/// `H(kind tag, key domain, invariant digest, per-point input)` — the
+/// only definition of the energy key scheme.
+fn kernel_key(kind: KernelKind, invariant: Fingerprint, point: Option<Time>) -> Fingerprint {
+    let mut h = FpHasher::new();
+    h.write_tag(kind.tag());
+    h.write_str(KERNEL_KEY_DOMAIN);
+    let (hi, lo) = invariant.parts();
+    h.write_u64(hi);
+    h.write_u64(lo);
+    point.feed(&mut h);
+    h.finish()
+}
+
+/// A resolved energy computation: a pure function of its plan inputs
+/// and per-point input. Its cache key comes from the model's kernel
+/// plan, so the key is known without assembling the kernel.
 pub trait EnergyKernel {
     /// The energy domain this kernel books.
     fn kind(&self) -> KernelKind;
-
-    /// Feeds every captured input into `h`. Implementations must cover
-    /// *everything* [`EnergyKernel::compute`] reads — the cache replays
-    /// outputs across design points on the strength of this hash.
-    fn feed(&self, h: &mut FpHasher);
-
-    /// This kernel's cache key: the kind tag plus all captured inputs.
-    fn fingerprint(&self) -> Fingerprint {
-        let mut h = FpHasher::new();
-        h.write_tag(self.kind().tag());
-        self.feed(&mut h);
-        h.finish()
-    }
 
     /// Books the kernel's energy items, in deterministic order.
     fn compute(&self) -> Vec<EnergyItem>;
 }
 
 // ---------------------------------------------------------------------
+// The per-model plan
+// ---------------------------------------------------------------------
+
+/// Everything about a model's energy stage that no frame rate can
+/// change, resolved once per model after the elastic simulation
+/// succeeds: the analog stage count `N_A`, the stall-verdict key, the
+/// noise chain, and each kernel's FPS-invariant inputs with their
+/// digest (for the two kernels without a per-point input, the finished
+/// key). Per point, the pipeline only solves the delay split, keys each
+/// kernel from the plan, and — on a cache miss — assembles the kernel
+/// from borrowed plan inputs.
+#[derive(Debug)]
+pub(crate) struct KernelPlan {
+    /// Analog pipeline stage count `N_A`, including exposure.
+    pub(crate) analog_stage_count: usize,
+    /// The cross-model stall-verdict key (simulation topology + `N_A`).
+    pub(crate) stall_fp: Fingerprint,
+    /// The analog signal chain's noise stages, in signal-flow order.
+    pub(crate) noise_chain: Vec<NoiseStage>,
+    analog: AnalogInputs,
+    digital_compute: ComputeInputs,
+    digital_memory: MemoryInputs,
+    interface: InterfaceInputs,
+}
+
+impl KernelPlan {
+    /// Resolves `model`'s plan from its elastic simulation report
+    /// (`None` for all-analog designs).
+    pub(crate) fn new(model: &ValidatedModel, sim: Option<&SimReport>) -> Self {
+        let analog_stage_count = model.analog_stage_count();
+        let plans = model.stage_plans();
+        Self {
+            analog_stage_count,
+            stall_fp: model.stall_fingerprint(analog_stage_count),
+            noise_chain: model.noise_chain(),
+            analog: AnalogInputs::new(model),
+            digital_compute: ComputeInputs::new(model, &plans, sim),
+            digital_memory: MemoryInputs::new(model, &plans, sim),
+            interface: InterfaceInputs::new(model),
+        }
+    }
+
+    /// The cache key of `kind`'s kernel at the solved split `delay`:
+    /// equal keys guarantee bit-identical kernel output.
+    pub(crate) fn key(&self, kind: KernelKind, delay: &DelayEstimate) -> Fingerprint {
+        match kind {
+            KernelKind::Analog => {
+                kernel_key(kind, self.analog.digest, Some(delay.analog_unit_time))
+            }
+            KernelKind::DigitalCompute => self.digital_compute.key,
+            KernelKind::DigitalMemory => {
+                kernel_key(kind, self.digital_memory.digest, Some(delay.frame_time))
+            }
+            KernelKind::Interface => self.interface.key,
+        }
+    }
+
+    /// Assembles `kind`'s kernel at `delay` over `model`'s hardware and
+    /// routes, and runs it.
+    pub(crate) fn compute(
+        &self,
+        kind: KernelKind,
+        model: &ValidatedModel,
+        delay: &DelayEstimate,
+    ) -> Vec<EnergyItem> {
+        let hw = model.hardware();
+        match kind {
+            KernelKind::Analog => AnalogKernel {
+                hw,
+                inputs: &self.analog,
+                analog_unit_time: delay.analog_unit_time,
+            }
+            .compute(),
+            KernelKind::DigitalCompute => DigitalComputeKernel {
+                hw,
+                inputs: &self.digital_compute,
+            }
+            .compute(),
+            KernelKind::DigitalMemory => DigitalMemoryKernel {
+                hw,
+                inputs: &self.digital_memory,
+                frame_time: delay.frame_time,
+            }
+            .compute(),
+            KernelKind::Interface => InterfaceKernel {
+                routes: model.routes(),
+                inputs: &self.interface,
+            }
+            .compute(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Analog
 // ---------------------------------------------------------------------
 
-/// Analog energy (Sec. 4.2, Eq. 2–3): access counts inferred from the
-/// mapping and routing, per-access energy from the component models
-/// under the inferred delay budget.
-pub struct AnalogKernel<'a> {
-    hw: &'a HardwareDesc,
-    analog_unit_time: Time,
+/// The analog kernel's FPS-invariant inputs: per-unit access counts and
+/// stage attributions inferred from the mapping and routing.
+#[derive(Debug)]
+struct AnalogInputs {
     accesses: BTreeMap<String, f64>,
     attribution: BTreeMap<String, String>,
+    /// Digest of every unit `compute` books: its parameters, access
+    /// count, and attribution.
+    digest: Fingerprint,
 }
 
-impl<'a> AnalogKernel<'a> {
-    /// Resolves per-unit access counts and stage attributions from the
-    /// model's mapping and routes.
-    pub(crate) fn new(model: &'a ValidatedModel, delay: &DelayEstimate) -> Self {
+impl AnalogInputs {
+    fn new(model: &ValidatedModel) -> Self {
         let hw = model.hardware();
         let algo = model.algorithm();
         let mapping = model.mapping();
@@ -176,13 +292,44 @@ impl<'a> AnalogKernel<'a> {
             }
         }
 
+        // Only units with a non-zero access count contribute items; the
+        // rest are invisible to `compute` and stay out of the digest.
+        let mut h = FpHasher::new();
+        for (unit, n) in booked_analog_units(hw, &accesses) {
+            unit.feed(&mut h);
+            h.write_f64(n);
+            attribution.get(unit.name()).feed(&mut h);
+        }
         Self {
-            hw,
-            analog_unit_time: delay.analog_unit_time,
             accesses,
             attribution,
+            digest: h.finish(),
         }
     }
+}
+
+/// The analog units the kernel books, with their access counts, in
+/// hardware order: every unit with an access count that is not `<= 0`.
+fn booked_analog_units<'a>(
+    hw: &'a HardwareDesc,
+    accesses: &'a BTreeMap<String, f64>,
+) -> impl Iterator<Item = (&'a crate::hw::AnalogUnitDesc, f64)> + 'a {
+    hw.analog_units().iter().filter_map(|unit| {
+        let n = *accesses.get(unit.name())?;
+        if n <= 0.0 {
+            return None;
+        }
+        Some((unit, n))
+    })
+}
+
+/// Analog energy (Sec. 4.2, Eq. 2–3): access counts inferred from the
+/// mapping and routing, per-access energy from the component models
+/// under the inferred delay budget.
+pub struct AnalogKernel<'a> {
+    hw: &'a HardwareDesc,
+    inputs: &'a AnalogInputs,
+    analog_unit_time: Time,
 }
 
 impl EnergyKernel for AnalogKernel<'_> {
@@ -190,50 +337,28 @@ impl EnergyKernel for AnalogKernel<'_> {
         KernelKind::Analog
     }
 
-    fn feed(&self, h: &mut FpHasher) {
-        self.analog_unit_time.feed(h);
-        // Only units with a non-zero access count contribute items; the
-        // rest are invisible to `compute` and stay out of the key.
-        for unit in self.hw.analog_units() {
-            let Some(&n) = self.accesses.get(unit.name()) else {
-                continue;
-            };
-            if n <= 0.0 {
-                continue;
-            }
-            unit.feed(h);
-            h.write_f64(n);
-            self.attribution.get(unit.name()).feed(h);
-        }
-    }
-
     fn compute(&self) -> Vec<EnergyItem> {
-        let mut items = Vec::new();
-        for unit in self.hw.analog_units() {
-            let Some(&n) = self.accesses.get(unit.name()) else {
-                continue;
-            };
-            if n <= 0.0 {
-                continue;
-            }
-            // Eq. 3: accesses spread uniformly over the AFA's components;
-            // each component gets T_A / (n / count) per access.
-            let per_component = n / unit.array().component_count() as f64;
-            let per_access_delay = self.analog_unit_time / per_component.max(1.0);
-            let energy = unit.array().component().energy_per_access(per_access_delay) * n;
-            items.push(EnergyItem {
-                unit: unit.name().to_owned(),
-                stage: self.attribution.get(unit.name()).cloned(),
-                category: match unit.category() {
-                    crate::hw::AnalogCategory::Sensing => EnergyCategory::Sensing,
-                    crate::hw::AnalogCategory::Compute => EnergyCategory::AnalogCompute,
-                    crate::hw::AnalogCategory::Memory => EnergyCategory::AnalogMemory,
-                },
-                layer: unit.layer(),
-                energy,
-            });
-        }
-        items
+        booked_analog_units(self.hw, &self.inputs.accesses)
+            .map(|(unit, n)| {
+                // Eq. 3: accesses spread uniformly over the AFA's
+                // components; each component gets T_A / (n / count)
+                // per access.
+                let per_component = n / unit.array().component_count() as f64;
+                let per_access_delay = self.analog_unit_time / per_component.max(1.0);
+                let energy = unit.array().component().energy_per_access(per_access_delay) * n;
+                EnergyItem {
+                    unit: unit.name().to_owned(),
+                    stage: self.inputs.attribution.get(unit.name()).cloned(),
+                    category: match unit.category() {
+                        crate::hw::AnalogCategory::Sensing => EnergyCategory::Sensing,
+                        crate::hw::AnalogCategory::Compute => EnergyCategory::AnalogCompute,
+                        crate::hw::AnalogCategory::Memory => EnergyCategory::AnalogMemory,
+                    },
+                    layer: unit.layer(),
+                    energy,
+                }
+            })
+            .collect()
     }
 }
 
@@ -243,6 +368,7 @@ impl EnergyKernel for AnalogKernel<'_> {
 
 /// The work a digital unit performed for one stage, as resolved from
 /// the simulation (or its static fallback).
+#[derive(Debug)]
 enum Work {
     Cycles(u64),
     Macs(u64),
@@ -263,29 +389,30 @@ impl Fingerprintable for Work {
     }
 }
 
+#[derive(Debug)]
 struct ComputeRow {
     stage: String,
     unit: String,
     work: Work,
 }
 
-/// Digital compute energy (Eq. 15): per-cycle energy × simulated cycles
-/// for pipelined units, per-MAC energy × MACs for systolic arrays.
-pub struct DigitalComputeKernel<'a> {
-    hw: &'a HardwareDesc,
+/// The digital-compute kernel's inputs (all FPS-invariant): each
+/// planned stage's unit and work.
+#[derive(Debug)]
+struct ComputeInputs {
     rows: Vec<ComputeRow>,
+    /// The kernel's key, fixed per model: its digest covers the rows,
+    /// each with its unit's parameters, and there is no per-point
+    /// input.
+    key: Fingerprint,
 }
 
-impl<'a> DigitalComputeKernel<'a> {
+impl ComputeInputs {
     /// Resolves each planned stage's work from the simulation report.
-    pub(crate) fn new(
-        model: &'a ValidatedModel,
-        plans: &[StagePlan<'_>],
-        sim: Option<&SimReport>,
-    ) -> Self {
+    fn new(model: &ValidatedModel, plans: &[StagePlan<'_>], sim: Option<&SimReport>) -> Self {
         let hw = model.hardware();
         let mapping = model.mapping();
-        let rows = plans
+        let rows: Vec<ComputeRow> = plans
             .iter()
             .map(|plan| {
                 let unit_name = mapping
@@ -314,8 +441,27 @@ impl<'a> DigitalComputeKernel<'a> {
                 }
             })
             .collect();
-        Self { hw, rows }
+        let mut h = FpHasher::new();
+        h.write_usize(rows.len());
+        for row in &rows {
+            h.write_str(&row.stage);
+            hw.digital(&row.unit)
+                .expect("row units are digital")
+                .feed(&mut h);
+            row.work.feed(&mut h);
+        }
+        Self {
+            rows,
+            key: kernel_key(KernelKind::DigitalCompute, h.finish(), None),
+        }
     }
+}
+
+/// Digital compute energy (Eq. 15): per-cycle energy × simulated cycles
+/// for pipelined units, per-MAC energy × MACs for systolic arrays.
+pub struct DigitalComputeKernel<'a> {
+    hw: &'a HardwareDesc,
+    inputs: &'a ComputeInputs,
 }
 
 impl EnergyKernel for DigitalComputeKernel<'_> {
@@ -323,18 +469,9 @@ impl EnergyKernel for DigitalComputeKernel<'_> {
         KernelKind::DigitalCompute
     }
 
-    fn feed(&self, h: &mut FpHasher) {
-        h.write_usize(self.rows.len());
-        for row in &self.rows {
-            h.write_str(&row.stage);
-            let unit = self.hw.digital(&row.unit).expect("row units are digital");
-            unit.feed(h);
-            row.work.feed(h);
-        }
-    }
-
     fn compute(&self) -> Vec<EnergyItem> {
-        self.rows
+        self.inputs
+            .rows
             .iter()
             .map(|row| {
                 let unit = self.hw.digital(&row.unit).expect("row units are digital");
@@ -361,26 +498,21 @@ impl EnergyKernel for DigitalComputeKernel<'_> {
 // Digital memory
 // ---------------------------------------------------------------------
 
-/// Digital memory energy (Eq. 16): dynamic traffic from the simulation
-/// plus DNN weight loading, and leakage over the powered fraction of
-/// the frame.
-pub struct DigitalMemoryKernel<'a> {
-    hw: &'a HardwareDesc,
-    frame_time: Time,
+/// The digital-memory kernel's FPS-invariant inputs: simulated traffic
+/// plus DNN weight loads per memory, and each memory's consuming stage.
+#[derive(Debug)]
+struct MemoryInputs {
     /// Per-memory `(pixels_read, pixels_written)`.
     traffic: BTreeMap<String, (f64, f64)>,
     /// Per-memory consuming stage, from the first route through it.
     attribution: BTreeMap<String, Option<String>>,
+    /// Digest of every memory's parameters, traffic, and attribution.
+    digest: Fingerprint,
 }
 
-impl<'a> DigitalMemoryKernel<'a> {
+impl MemoryInputs {
     /// Aggregates simulated traffic and DNN weight loads per memory.
-    pub(crate) fn new(
-        model: &'a ValidatedModel,
-        plans: &[StagePlan<'_>],
-        sim: Option<&SimReport>,
-        delay: &DelayEstimate,
-    ) -> Self {
+    fn new(model: &ValidatedModel, plans: &[StagePlan<'_>], sim: Option<&SimReport>) -> Self {
         let hw = model.hardware();
         let algo = model.algorithm();
         let mut traffic: BTreeMap<String, (f64, f64)> = BTreeMap::new();
@@ -403,7 +535,7 @@ impl<'a> DigitalMemoryKernel<'a> {
                 }
             }
         }
-        let attribution = hw
+        let attribution: BTreeMap<String, Option<String>> = hw
             .memories()
             .iter()
             .map(|mem| {
@@ -415,13 +547,29 @@ impl<'a> DigitalMemoryKernel<'a> {
                 (mem.name().to_owned(), stage)
             })
             .collect();
+        let mut h = FpHasher::new();
+        for mem in hw.memories() {
+            let (reads, writes) = traffic.get(mem.name()).copied().unwrap_or((0.0, 0.0));
+            mem.feed(&mut h);
+            h.write_f64(reads);
+            h.write_f64(writes);
+            attribution.get(mem.name()).feed(&mut h);
+        }
         Self {
-            hw,
-            frame_time: delay.frame_time,
             traffic,
             attribution,
+            digest: h.finish(),
         }
     }
+}
+
+/// Digital memory energy (Eq. 16): dynamic traffic from the simulation
+/// plus DNN weight loading, and leakage over the powered fraction of
+/// the frame.
+pub struct DigitalMemoryKernel<'a> {
+    hw: &'a HardwareDesc,
+    inputs: &'a MemoryInputs,
+    frame_time: Time,
 }
 
 impl EnergyKernel for DigitalMemoryKernel<'_> {
@@ -429,21 +577,15 @@ impl EnergyKernel for DigitalMemoryKernel<'_> {
         KernelKind::DigitalMemory
     }
 
-    fn feed(&self, h: &mut FpHasher) {
-        self.frame_time.feed(h);
-        for mem in self.hw.memories() {
-            let (reads, writes) = self.traffic.get(mem.name()).copied().unwrap_or((0.0, 0.0));
-            mem.feed(h);
-            h.write_f64(reads);
-            h.write_f64(writes);
-            self.attribution.get(mem.name()).feed(h);
-        }
-    }
-
     fn compute(&self) -> Vec<EnergyItem> {
         let mut items = Vec::new();
         for mem in self.hw.memories() {
-            let (reads, writes) = self.traffic.get(mem.name()).copied().unwrap_or((0.0, 0.0));
+            let (reads, writes) = self
+                .inputs
+                .traffic
+                .get(mem.name())
+                .copied()
+                .unwrap_or((0.0, 0.0));
             let s = mem.structure();
             let dynamic = s.dynamic_energy(reads, writes);
             let leakage = s.leakage() * self.frame_time * s.active_fraction();
@@ -453,7 +595,7 @@ impl EnergyKernel for DigitalMemoryKernel<'_> {
             }
             items.push(EnergyItem {
                 unit: mem.name().to_owned(),
-                stage: self.attribution.get(mem.name()).cloned().flatten(),
+                stage: self.inputs.attribution.get(mem.name()).cloned().flatten(),
                 category: EnergyCategory::DigitalMemory,
                 layer: mem.layer(),
                 energy,
@@ -467,21 +609,24 @@ impl EnergyKernel for DigitalMemoryKernel<'_> {
 // Interface
 // ---------------------------------------------------------------------
 
-/// Communication energy (Eq. 17): bytes crossing layer boundaries pay
-/// the boundary's interface energy; results exiting the package pay
-/// MIPI.
-pub struct InterfaceKernel<'a> {
-    routes: &'a [Route],
+/// The interface kernel's inputs (all FPS-invariant): each route's
+/// layer-crossing hop list.
+#[derive(Debug)]
+struct InterfaceInputs {
     /// Per-route `(unit, layer)` hop lists, host exits appended.
     hops: Vec<Vec<(String, Layer)>>,
+    /// The kernel's key, fixed per model: its digest covers every
+    /// route's source stage, byte count, and hops, and there is no
+    /// per-point input.
+    key: Fingerprint,
 }
 
-impl<'a> InterfaceKernel<'a> {
+impl InterfaceInputs {
     /// Resolves each route's layer-crossing hop list.
-    pub(crate) fn new(model: &'a ValidatedModel) -> Self {
+    fn new(model: &ValidatedModel) -> Self {
         let hw = model.hardware();
-        let hops = model
-            .routes()
+        let routes = model.routes();
+        let hops: Vec<Vec<(String, Layer)>> = routes
             .iter()
             .map(|route| {
                 let mut hops: Vec<(String, Layer)> = route
@@ -495,11 +640,30 @@ impl<'a> InterfaceKernel<'a> {
                 hops
             })
             .collect();
+        let mut h = FpHasher::new();
+        h.write_usize(routes.len());
+        for (route, hops) in routes.iter().zip(&hops) {
+            h.write_str(&route.from_stage);
+            h.write_u64(route.bytes);
+            h.write_usize(hops.len());
+            for (unit, layer) in hops {
+                h.write_str(unit);
+                layer.feed(&mut h);
+            }
+        }
         Self {
-            routes: model.routes(),
             hops,
+            key: kernel_key(KernelKind::Interface, h.finish(), None),
         }
     }
+}
+
+/// Communication energy (Eq. 17): bytes crossing layer boundaries pay
+/// the boundary's interface energy; results exiting the package pay
+/// MIPI.
+pub struct InterfaceKernel<'a> {
+    routes: &'a [Route],
+    inputs: &'a InterfaceInputs,
 }
 
 impl EnergyKernel for InterfaceKernel<'_> {
@@ -507,23 +671,10 @@ impl EnergyKernel for InterfaceKernel<'_> {
         KernelKind::Interface
     }
 
-    fn feed(&self, h: &mut FpHasher) {
-        h.write_usize(self.routes.len());
-        for (route, hops) in self.routes.iter().zip(&self.hops) {
-            h.write_str(&route.from_stage);
-            h.write_u64(route.bytes);
-            h.write_usize(hops.len());
-            for (unit, layer) in hops {
-                h.write_str(unit);
-                layer.feed(h);
-            }
-        }
-    }
-
     fn compute(&self) -> Vec<EnergyItem> {
         use camj_tech::interface::Interface;
         let mut items = Vec::new();
-        for (route, hops) in self.routes.iter().zip(&self.hops) {
+        for (route, hops) in self.routes.iter().zip(&self.inputs.hops) {
             for pair in hops.windows(2) {
                 let (from, from_layer) = &pair[0];
                 let (_, to_layer) = &pair[1];
@@ -545,5 +696,228 @@ impl EnergyKernel for InterfaceKernel<'_> {
             }
         }
         items
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use camj_digital::memory::MemoryKind;
+    use camj_tech::node::ProcessNode;
+    use camj_workloads::configs::SensorVariant;
+    use camj_workloads::{edgaze, quickstart, rhythmic};
+
+    use super::*;
+    use crate::hw::HardwareDesc;
+    use crate::mapping::Mapping;
+    use crate::sw::AlgorithmGraph;
+
+    /// The single-pass kernel key the two-level scheme replaced: the
+    /// kind tag, then every captured input in one stream, the per-point
+    /// input first. Kept as the oracle the two-level keys must agree
+    /// with.
+    trait SinglePass: EnergyKernel {
+        fn feed(&self, h: &mut FpHasher);
+
+        fn single_pass_key(&self) -> Fingerprint {
+            let mut h = FpHasher::new();
+            h.write_tag(self.kind().tag());
+            self.feed(&mut h);
+            h.finish()
+        }
+    }
+
+    impl SinglePass for AnalogKernel<'_> {
+        fn feed(&self, h: &mut FpHasher) {
+            self.analog_unit_time.feed(h);
+            for unit in self.hw.analog_units() {
+                let Some(&n) = self.inputs.accesses.get(unit.name()) else {
+                    continue;
+                };
+                if n <= 0.0 {
+                    continue;
+                }
+                unit.feed(h);
+                h.write_f64(n);
+                self.inputs.attribution.get(unit.name()).feed(h);
+            }
+        }
+    }
+
+    impl SinglePass for DigitalComputeKernel<'_> {
+        fn feed(&self, h: &mut FpHasher) {
+            h.write_usize(self.inputs.rows.len());
+            for row in &self.inputs.rows {
+                h.write_str(&row.stage);
+                let unit = self.hw.digital(&row.unit).expect("row units are digital");
+                unit.feed(h);
+                row.work.feed(h);
+            }
+        }
+    }
+
+    impl SinglePass for DigitalMemoryKernel<'_> {
+        fn feed(&self, h: &mut FpHasher) {
+            self.frame_time.feed(h);
+            for mem in self.hw.memories() {
+                let (reads, writes) = self
+                    .inputs
+                    .traffic
+                    .get(mem.name())
+                    .copied()
+                    .unwrap_or((0.0, 0.0));
+                mem.feed(h);
+                h.write_f64(reads);
+                h.write_f64(writes);
+                self.inputs.attribution.get(mem.name()).feed(h);
+            }
+        }
+    }
+
+    impl SinglePass for InterfaceKernel<'_> {
+        fn feed(&self, h: &mut FpHasher) {
+            h.write_usize(self.routes.len());
+            for (route, hops) in self.routes.iter().zip(&self.inputs.hops) {
+                h.write_str(&route.from_stage);
+                h.write_u64(route.bytes);
+                h.write_usize(hops.len());
+                for (unit, layer) in hops {
+                    h.write_str(unit);
+                    layer.feed(h);
+                }
+            }
+        }
+    }
+
+    /// The four kernels of `plan` at `delay`, assembled exactly as
+    /// [`KernelPlan::compute`] assembles them.
+    fn kernels<'a>(
+        plan: &'a KernelPlan,
+        model: &'a ValidatedModel,
+        delay: &DelayEstimate,
+    ) -> [Box<dyn SinglePass + 'a>; ENERGY_KERNEL_COUNT] {
+        let hw = model.hardware();
+        [
+            Box::new(AnalogKernel {
+                hw,
+                inputs: &plan.analog,
+                analog_unit_time: delay.analog_unit_time,
+            }),
+            Box::new(DigitalComputeKernel {
+                hw,
+                inputs: &plan.digital_compute,
+            }),
+            Box::new(DigitalMemoryKernel {
+                hw,
+                inputs: &plan.digital_memory,
+                frame_time: delay.frame_time,
+            }),
+            Box::new(InterfaceKernel {
+                routes: model.routes(),
+                inputs: &plan.interface,
+            }),
+        ]
+    }
+
+    /// camj-workloads links its own copy of this crate, so its models
+    /// cross into this crate's types through the descriptions' serde
+    /// encoding (floats round-trip exactly). A macro, because the
+    /// other copy's `CamJ` has no nameable path here.
+    macro_rules! cross {
+        ($model:expr) => {{
+            let model = $model;
+            let algo: AlgorithmGraph = recode(model.algorithm());
+            let hw: HardwareDesc = recode(model.hardware());
+            let mapping: Mapping = recode(model.mapping());
+            ValidatedModel::new(algo, hw, mapping, model.fps()).expect("workload models validate")
+        }};
+    }
+
+    /// Re-encodes a value through JSON into another type.
+    fn recode<T: serde::Serialize, U: for<'de> serde::Deserialize<'de>>(value: &T) -> U {
+        serde_json::from_str(&serde_json::to_string(value).expect("serialises")).expect("decodes")
+    }
+
+    /// The workload grids the oracle runs over, each model with its
+    /// frame rates: the Ed-Gaze 2D-In 4-axis 256-point grid (both
+    /// frame-buffer kinds), the quickstart chip, and every Rhythmic
+    /// variant at two CIS nodes.
+    fn grids() -> Vec<(ValidatedModel, Vec<f64>)> {
+        let nodes = [
+            ProcessNode::N130,
+            ProcessNode::N110,
+            ProcessNode::N90,
+            ProcessNode::N65,
+        ];
+        let mut grids = Vec::new();
+        let edgaze_fps: Vec<f64> = (0..8).map(|i| 10.0 + 2.0 * f64::from(i)).collect();
+        for memory in [MemoryKind::DoubleBuffer, MemoryKind::LineBuffer] {
+            for node in nodes {
+                for bits in 8..12 {
+                    let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, node)
+                        .with_adc_bits(bits)
+                        .with_frame_buffer_kind(memory);
+                    let model = edgaze::model_with(config).expect("Ed-Gaze builds");
+                    grids.push((cross!(model), edgaze_fps.clone()));
+                }
+            }
+        }
+        let quickstart = quickstart::model(30.0).expect("quickstart builds");
+        grids.push((cross!(quickstart), vec![10.0, 15.0, 20.0, 30.0, 60.0]));
+        for variant in SensorVariant::ALL {
+            for node in [ProcessNode::N130, ProcessNode::N65] {
+                if let Ok(model) = rhythmic::model(variant, node) {
+                    grids.push((cross!(model), vec![15.0, 30.0, 60.0]));
+                }
+            }
+        }
+        grids
+    }
+
+    /// Two-level keys partition kernel invocations exactly like the
+    /// single-pass oracle keys: across every model and frame rate of
+    /// the grids, two invocations share a two-level key if and only if
+    /// they share an oracle key, and invocations sharing a key book
+    /// identical items.
+    #[test]
+    fn two_level_keys_match_the_single_pass_oracle() {
+        let mut oracle_of: HashMap<Fingerprint, Fingerprint> = HashMap::new();
+        let mut key_of: HashMap<Fingerprint, Fingerprint> = HashMap::new();
+        let mut items_of: HashMap<Fingerprint, String> = HashMap::new();
+        let mut invocations = 0;
+        for (model, fps) in grids() {
+            let (_, plan) = model.kernel_plan().expect("workload models simulate");
+            for fps in fps {
+                let Ok(delay) = model.estimate_delay_at(fps) else {
+                    continue;
+                };
+                for (kind, kernel) in KernelKind::ALL
+                    .into_iter()
+                    .zip(kernels(plan, &model, &delay))
+                {
+                    invocations += 1;
+                    let key = plan.key(kind, &delay);
+                    assert_eq!(kernel.kind(), kind);
+                    let oracle = kernel.single_pass_key();
+                    assert_eq!(*oracle_of.entry(key).or_insert(oracle), oracle);
+                    assert_eq!(*key_of.entry(oracle).or_insert(key), key);
+                    let items = serde_json::to_string(&kernel.compute()).expect("items serialise");
+                    assert_eq!(
+                        serde_json::to_string(&plan.compute(kind, &model, &delay)).unwrap(),
+                        items
+                    );
+                    assert_eq!(*items_of.entry(key).or_insert_with(|| items.clone()), items);
+                }
+            }
+        }
+        // The grids must both share and separate keys for the check
+        // to bite: replays across points, and distinct inputs per kind.
+        assert!(invocations > 1000, "{invocations} kernel invocations");
+        assert!(
+            key_of.len() * 4 < invocations && key_of.len() > 100,
+            "{} distinct keys over {invocations} invocations",
+            key_of.len()
+        );
     }
 }

@@ -24,9 +24,13 @@
 //!   frame budget `N_A·T_A + T_D = 1/FPS` (Sec. 4.1).
 //! * **energy** ([`ValidatedModel::energy_breakdown`]) books the three
 //!   energy domains of Eq. 1 plus communication through the four
-//!   [`EnergyKernel`](super::EnergyKernel)s, each content-addressed by
-//!   a fingerprint of its resolved inputs and replayed from the shared
-//!   cache on a hit.
+//!   [`EnergyKernel`](super::EnergyKernel)s. Everything about them that
+//!   no frame rate can change — access counts, simulated traffic,
+//!   compute rows, hop lists, and a digest of each — is resolved once
+//!   per model into a shared kernel plan (together with `N_A`, the
+//!   stall-verdict key, and the noise chain); per point, each kernel is
+//!   keyed by its plan digest plus its one per-point input and replayed
+//!   from the shared cache on a hit.
 //!
 //! [`ValidatedModel::estimate`] chains the stages into the classic
 //! one-call flow (including the constant-rate-readout stall check);
@@ -59,10 +63,7 @@ use crate::sw::{AlgorithmGraph, Stage, StageKind};
 
 use super::breakdown::EnergyBreakdown;
 use super::cache::EstimateCache;
-use super::kernel::{
-    AnalogKernel, DigitalComputeKernel, DigitalMemoryKernel, EnergyKernel, InterfaceKernel,
-    KernelKind,
-};
+use super::kernel::{KernelKind, KernelPlan};
 use super::model::EstimateReport;
 
 /// Safety bound for the cycle-level simulation.
@@ -189,11 +190,6 @@ struct StallCache {
     pass_min: Option<f64>,
 }
 
-/// Locks the per-model stall cache, recovering from poisoning: the
-/// guarded scalar is only ever overwritten whole, so the cache stays
-/// consistent even if a panicking thread died while holding the lock
-/// (per-point panics are caught by sweep drivers and must not corrupt
-/// neighbouring evaluations).
 /// The observability span name of one energy kernel; a static table so
 /// recording never formats (see `obs_core`'s static-name rule).
 fn kernel_span_name(kind: KernelKind) -> &'static str {
@@ -205,6 +201,11 @@ fn kernel_span_name(kind: KernelKind) -> &'static str {
     }
 }
 
+/// Locks the per-model stall cache, recovering from poisoning: the
+/// guarded scalar is only ever overwritten whole, so the cache stays
+/// consistent even if a panicking thread died while holding the lock
+/// (per-point panics are caught by sweep drivers and must not corrupt
+/// neighbouring evaluations).
 fn lock_stall(stall: &Mutex<StallCache>) -> std::sync::MutexGuard<'_, StallCache> {
     stall
         .lock()
@@ -212,15 +213,16 @@ fn lock_stall(stall: &Mutex<StallCache>) -> std::sync::MutexGuard<'_, StallCache
 }
 
 /// A design that has passed the **validate** and **route** stages, with
-/// the routes and (lazily) the elastic simulation cached for reuse.
+/// the routes and (lazily) the elastic simulation and kernel plan
+/// cached for reuse.
 ///
 /// The caches are what make sweeps cheap: clones made through
-/// [`ValidatedModel::with_fps`] share the already-resolved routes and
-/// simulation, [`ValidatedModel::estimate_at_fps`] re-runs only the
-/// FPS-dependent stages, and a cross-point [`EstimateCache`] attached
-/// via [`ValidatedModel::with_cache`] shares simulations, stall
-/// verdicts, and energy-kernel outputs *between* models whose
-/// fingerprinted inputs coincide.
+/// [`ValidatedModel::with_fps`] share the already-resolved routes,
+/// simulation, and kernel plan, [`ValidatedModel::estimate_at_fps`]
+/// re-runs only the FPS-dependent stages, and a cross-point
+/// [`EstimateCache`] attached via [`ValidatedModel::with_cache`] shares
+/// simulations, stall verdicts, and energy-kernel outputs *between*
+/// models whose fingerprinted inputs coincide.
 #[derive(Debug)]
 pub struct ValidatedModel {
     algo: AlgorithmGraph,
@@ -231,6 +233,11 @@ pub struct ValidatedModel {
     routes: Vec<Route>,
     elastic: OnceLock<Arc<Result<ElasticSim, CamjError>>>,
     sim_fp: OnceLock<Fingerprint>,
+    /// The FPS-invariant energy-stage state, resolved once the elastic
+    /// simulation has succeeded. Behind an `Arc` so every clone — a
+    /// [`Self::with_fps`] copy included — shares one plan, whichever
+    /// of them resolves it first.
+    plan: Arc<OnceLock<KernelPlan>>,
     stall: Mutex<StallCache>,
     cache: Option<Arc<EstimateCache>>,
 }
@@ -246,6 +253,7 @@ impl Clone for ValidatedModel {
             routes: self.routes.clone(),
             elastic: self.elastic.clone(),
             sim_fp: self.sim_fp.clone(),
+            plan: Arc::clone(&self.plan),
             stall: Mutex::new(lock_stall(&self.stall).clone()),
             cache: self.cache.clone(),
         }
@@ -290,6 +298,7 @@ impl ValidatedModel {
             routes,
             elastic: OnceLock::new(),
             sim_fp: OnceLock::new(),
+            plan: Arc::default(),
             stall: Mutex::new(StallCache::default()),
             cache: None,
         })
@@ -342,9 +351,9 @@ impl ValidatedModel {
     }
 
     /// A copy of this model targeting a different frame rate, sharing
-    /// the cached routes and elastic simulation. Checks do not re-run:
-    /// FPS feasibility is established by the delay/stall stages, not by
-    /// the static checks.
+    /// the cached routes, elastic simulation, and kernel plan. Checks
+    /// do not re-run: FPS feasibility is established by the delay/stall
+    /// stages, not by the static checks.
     ///
     /// # Panics
     ///
@@ -421,13 +430,13 @@ impl ValidatedModel {
     /// The cross-model stall-verdict key: the simulation topology plus
     /// the analog stage count (which converts a readout time into the
     /// frame budget the stall simulation runs under).
-    fn stall_fingerprint(&self) -> Fingerprint {
+    pub(crate) fn stall_fingerprint(&self, analog_stage_count: usize) -> Fingerprint {
         let (hi, lo) = self.sim_fingerprint().parts();
         let mut h = FpHasher::new();
         h.write_u64(hi);
         h.write_u64(lo);
         h.write_str("stall");
-        h.write_usize(self.analog_stage_count());
+        h.write_usize(analog_stage_count);
         h.finish()
     }
 
@@ -450,6 +459,20 @@ impl ValidatedModel {
             .as_ref()
             .as_ref()
             .map_err(Clone::clone)
+    }
+
+    /// The elastic simulation and the kernel plan resolved from it —
+    /// the plan on first call, shared by every clone afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CamjError::Sim`] when the simulation fails.
+    pub(crate) fn kernel_plan(&self) -> Result<(&ElasticSim, &KernelPlan), CamjError> {
+        let elastic = self.simulate()?;
+        let plan = self
+            .plan
+            .get_or_init(|| KernelPlan::new(self, elastic.report.as_ref()));
+        Ok((elastic, plan))
     }
 
     fn run_elastic(&self) -> Result<ElasticSim, CamjError> {
@@ -489,14 +512,14 @@ impl ValidatedModel {
     ///
     /// See [`Self::estimate_delay`].
     pub fn estimate_delay_at(&self, fps: f64) -> Result<DelayEstimate, CamjError> {
-        let t_d = self.simulate()?.digital_latency;
-        DelayEstimate::solve(fps, t_d, self.analog_stage_count())
+        let (elastic, plan) = self.kernel_plan()?;
+        DelayEstimate::solve(fps, elastic.digital_latency, plan.analog_stage_count)
     }
 
     /// Whether the stall check for readout `t_a` is already answered by
     /// a cached pass — the per-model L1 first, then the cross-model
-    /// cache.
-    fn stall_settled(&self, t_a: f64) -> bool {
+    /// cache under the plan's stall key.
+    fn stall_settled(&self, plan: &KernelPlan, t_a: f64) -> bool {
         if lock_stall(&self.stall)
             .pass_min
             .is_some_and(|pass| t_a >= pass)
@@ -504,19 +527,19 @@ impl ValidatedModel {
             return true;
         }
         match &self.cache {
-            Some(cache) => cache.stall_settled(self.stall_fingerprint(), t_a),
+            Some(cache) => cache.stall_settled(plan.stall_fp, t_a),
             None => false,
         }
     }
 
     /// Records a stall pass in the per-model L1 and the cross-model
     /// cache.
-    fn record_stall_pass(&self, t_a: f64) {
+    fn record_stall_pass(&self, plan: &KernelPlan, t_a: f64) {
         let mut local = lock_stall(&self.stall);
         local.pass_min = Some(local.pass_min.map_or(t_a, |p| p.min(t_a)));
         drop(local);
         if let Some(cache) = &self.cache {
-            cache.record_stall_pass(self.stall_fingerprint(), t_a);
+            cache.record_stall_pass(plan.stall_fp, t_a);
         }
     }
 
@@ -534,19 +557,20 @@ impl ValidatedModel {
     /// # Errors
     ///
     /// Returns [`CamjError::StallDetected`] when the digital pipeline
-    /// cannot keep pace with the pixel readout.
+    /// cannot keep pace with the pixel readout, and propagates
+    /// simulation failures of [`Self::simulate`].
     pub fn check_stall(&self, delay: &DelayEstimate) -> Result<(), CamjError> {
-        if self.stall_settled(delay.analog_unit_time.secs()) {
-            return Ok(());
-        }
-        self.check_stall_with(&self.stage_plans(), delay)
+        let (_, plan) = self.kernel_plan()?;
+        self.check_stall_in(plan, delay)
     }
 
-    fn check_stall_with(
-        &self,
-        plans: &[StagePlan<'_>],
-        delay: &DelayEstimate,
-    ) -> Result<(), CamjError> {
+    /// The stall check against an already-resolved plan: settled from
+    /// the caches when possible, simulated otherwise.
+    fn check_stall_in(&self, plan: &KernelPlan, delay: &DelayEstimate) -> Result<(), CamjError> {
+        if self.stall_settled(plan, delay.analog_unit_time.secs()) {
+            return Ok(());
+        }
+        let plans = self.stage_plans();
         if plans.is_empty() {
             return Ok(());
         }
@@ -556,7 +580,7 @@ impl ValidatedModel {
         let _span = obs_core::span("pipeline.stall_check");
         let t_a = delay.analog_unit_time.secs();
         let readout = delay.analog_unit_time;
-        let sim = self.build_sim(plans, Some(readout))?;
+        let sim = self.build_sim(&plans, Some(readout))?;
         let budget =
             (delay.frame_time.secs() * self.hw.digital_clock_hz() * 2.0) as u64 + 1_000_000;
         // Verdict-only: a passing stall check discards the report, so
@@ -565,7 +589,7 @@ impl ValidatedModel {
         // diagnosis below matches a cycle-exact run byte for byte.
         match sim.run_check(budget.min(MAX_SIM_CYCLES)) {
             Ok(()) => {
-                self.record_stall_pass(t_a);
+                self.record_stall_pass(plan, t_a);
                 Ok(())
             }
             Err(e @ SimError::SourceOverflow { .. }) => Err(CamjError::StallDetected { cause: e }),
@@ -575,24 +599,19 @@ impl ValidatedModel {
 
     /// The **energy** stage: books all component energies (Eq. 1's
     /// three domains plus communication) for a solved delay split, by
-    /// running the four energy kernels (replaying cached outputs when a
-    /// cross-point cache is attached).
-    #[must_use]
-    pub fn energy_breakdown(
-        &self,
-        sim: Option<&SimReport>,
-        delay: &DelayEstimate,
-    ) -> EnergyBreakdown {
-        self.energy_breakdown_with(&self.stage_plans(), sim, delay)
+    /// running the four energy kernels over this model's simulation
+    /// (replaying cached outputs when a cross-point cache is attached).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CamjError::Sim`] when the simulation fails.
+    pub fn energy_breakdown(&self, delay: &DelayEstimate) -> Result<EnergyBreakdown, CamjError> {
+        let (_, plan) = self.kernel_plan()?;
+        Ok(self.complete_energy(plan, delay))
     }
 
-    fn energy_breakdown_with(
-        &self,
-        plans: &[StagePlan<'_>],
-        sim: Option<&SimReport>,
-        delay: &DelayEstimate,
-    ) -> EnergyBreakdown {
-        self.run_energy_kernels(plans, sim, delay, &mut |_| true)
+    fn complete_energy(&self, plan: &KernelPlan, delay: &DelayEstimate) -> EnergyBreakdown {
+        self.run_energy_kernels(plan, delay, &mut |_| true)
             .unwrap_or_else(|_| unreachable!("an always-admitting gate never prunes"))
     }
 
@@ -600,36 +619,30 @@ impl ValidatedModel {
     /// each one. Both the gated and the ungated estimate paths go
     /// through here, so an admitted pass is byte-identical to a plain
     /// [`Self::energy_breakdown`] — same kernels, same order, same
-    /// cache fingerprints.
+    /// cache keys. A kernel is keyed from the plan and only assembled
+    /// when it has to run: on a cache miss, or without a cache.
     ///
     /// Returns the completed breakdown, or `Err((partial, done))` when
     /// the gate stopped after `done` kernels.
     fn run_energy_kernels(
         &self,
-        plans: &[StagePlan<'_>],
-        sim: Option<&SimReport>,
+        plan: &KernelPlan,
         delay: &DelayEstimate,
         gate: &mut dyn FnMut(&GateContext<'_>) -> bool,
     ) -> Result<EnergyBreakdown, (EnergyBreakdown, usize)> {
-        let analog = AnalogKernel::new(self, delay);
-        let digital_compute = DigitalComputeKernel::new(self, plans, sim);
-        let digital_memory = DigitalMemoryKernel::new(self, plans, sim, delay);
-        let interface = InterfaceKernel::new(self);
-        let kernels: [&dyn EnergyKernel; ENERGY_KERNEL_COUNT] =
-            [&analog, &digital_compute, &digital_memory, &interface];
         let mut breakdown = EnergyBreakdown::new();
-        for (ran, kernel) in kernels.into_iter().enumerate() {
+        for (ran, kind) in KernelKind::ALL.into_iter().enumerate() {
             // The span/invocation counter sits inside the compute path,
             // so cached replays cost nothing and the invocation count
-            // is one per unique kernel fingerprint.
+            // is one per unique kernel key.
             let instrumented = || {
-                let _span = obs_core::span(kernel_span_name(kernel.kind()));
+                let _span = obs_core::span(kernel_span_name(kind));
                 obs_core::counter("kernel.invocations", ran as u64, 1);
-                kernel.compute()
+                plan.compute(kind, self, delay)
             };
             match &self.cache {
                 Some(cache) => {
-                    let items = cache.energy_or(kernel.fingerprint(), instrumented);
+                    let items = cache.energy_or(plan.key(kind, delay), instrumented);
                     for item in items.iter() {
                         breakdown.push(item.clone());
                     }
@@ -672,20 +685,14 @@ impl ValidatedModel {
     ///
     /// See [`super::CamJ::estimate`].
     pub fn estimate_at_fps(&self, fps: f64) -> Result<EstimateReport, CamjError> {
-        let elastic = self.simulate()?;
+        let (elastic, plan) = self.kernel_plan()?;
         let delay = {
             let _span = obs_core::span("pipeline.delay");
-            DelayEstimate::solve(fps, elastic.digital_latency, self.analog_stage_count())?
+            DelayEstimate::solve(fps, elastic.digital_latency, plan.analog_stage_count)?
         };
-        // Plans serve both the stall check and the energy passes; build
-        // them once (and only after the cheap feasibility solve above).
-        let stall_settled = self.stall_settled(delay.analog_unit_time.secs());
-        let plans = self.stage_plans();
-        if !stall_settled {
-            self.check_stall_with(&plans, &delay)?;
-        }
-        let breakdown = self.energy_breakdown_with(&plans, elastic.report.as_ref(), &delay);
-        Ok(self.assemble_report(breakdown, delay, elastic))
+        self.check_stall_in(plan, &delay)?;
+        let breakdown = self.complete_energy(plan, &delay);
+        Ok(self.assemble_report(plan, breakdown, delay, elastic))
     }
 
     /// The budget-gated variant of [`Self::estimate_at_fps`]: runs the
@@ -719,10 +726,10 @@ impl ValidatedModel {
     where
         G: FnMut(&GateContext<'_>) -> bool,
     {
-        let elastic = self.simulate()?;
+        let (elastic, plan) = self.kernel_plan()?;
         let delay = {
             let _span = obs_core::span("pipeline.delay");
-            DelayEstimate::solve(fps, elastic.digital_latency, self.analog_stage_count())?
+            DelayEstimate::solve(fps, elastic.digital_latency, plan.analog_stage_count)?
         };
         let empty = EnergyBreakdown::new();
         let admitted = gate(&GateContext {
@@ -737,14 +744,10 @@ impl ValidatedModel {
                 kernels_done: 0,
             });
         }
-        let stall_settled = self.stall_settled(delay.analog_unit_time.secs());
-        let plans = self.stage_plans();
-        if !stall_settled {
-            self.check_stall_with(&plans, &delay)?;
-        }
-        match self.run_energy_kernels(&plans, elastic.report.as_ref(), &delay, &mut gate) {
+        self.check_stall_in(plan, &delay)?;
+        match self.run_energy_kernels(plan, &delay, &mut gate) {
             Ok(breakdown) => Ok(GatedEstimate::Complete(Box::new(
-                self.assemble_report(breakdown, delay, elastic),
+                self.assemble_report(plan, breakdown, delay, elastic),
             ))),
             Err((partial, kernels_done)) => Ok(GatedEstimate::Pruned {
                 delay,
@@ -759,6 +762,7 @@ impl ValidatedModel {
     /// statistics). Shared by the gated and ungated estimate paths.
     fn assemble_report(
         &self,
+        plan: &KernelPlan,
         breakdown: EnergyBreakdown,
         delay: DelayEstimate,
         elastic: &ElasticSim,
@@ -771,7 +775,7 @@ impl ValidatedModel {
             .filter(|s| matches!(s.kind(), StageKind::Input))
             .map(|s| s.output_size().count())
             .sum();
-        let noise = self.noise_report_for(&delay, DEFAULT_SIGNAL_FRACTION);
+        let noise = noise_report(&plan.noise_chain, &delay, DEFAULT_SIGNAL_FRACTION);
         EstimateReport {
             breakdown,
             delay,
@@ -1000,7 +1004,7 @@ impl ValidatedModel {
     /// implicit quantization of a digitising back end.
     ///
     /// [`NoiseSource`]: camj_analog::noise::NoiseSource
-    fn noise_chain(&self) -> Vec<NoiseStage> {
+    pub(crate) fn noise_chain(&self) -> Vec<NoiseStage> {
         self.analog_signal_chain()
             .into_iter()
             .map(|unit| {
@@ -1012,57 +1016,6 @@ impl ValidatedModel {
                 }
             })
             .collect()
-    }
-
-    /// The analytic noise budget for an already-solved delay split:
-    /// per-stage variance accumulation at `signal_fraction` of full
-    /// scale. `None` when the chain contributes no noise at all —
-    /// no descriptors and no digitising component, or only
-    /// zero-amplitude sources (a `read` of 0, a dark current of
-    /// 0 e⁻/s), which validation deliberately allows.
-    pub(crate) fn noise_report_for(
-        &self,
-        delay: &DelayEstimate,
-        signal_fraction: f64,
-    ) -> Option<NoiseReport> {
-        assert!(
-            signal_fraction > 0.0 && signal_fraction <= 1.0,
-            "signal fraction must be in (0, 1], got {signal_fraction}"
-        );
-        let chain = self.noise_chain();
-        if !chain.iter().any(NoiseStage::is_noisy) {
-            return None;
-        }
-        let exposure = delay.analog_unit_time;
-        let mut cumulative_var = 0.0;
-        let stages: Vec<StageNoise> = chain
-            .iter()
-            .map(|stage| {
-                let added_var = stage.variance(
-                    signal_fraction,
-                    exposure,
-                    camj_tech::constants::DEFAULT_TEMPERATURE_K,
-                );
-                cumulative_var += added_var;
-                let cumulative = cumulative_var.sqrt();
-                StageNoise {
-                    unit: stage.unit.clone(),
-                    added_noise_rms: added_var.sqrt(),
-                    cumulative_noise_rms: cumulative,
-                    snr_db: functional::snr_db(signal_fraction, cumulative),
-                }
-            })
-            .collect();
-        let output_noise_rms = cumulative_var.sqrt();
-        // Declared sources can all be zero-amplitude; such a chain is
-        // effectively noise-free, not an error.
-        let output_snr_db = functional::snr_db(signal_fraction, output_noise_rms)?;
-        Some(NoiseReport {
-            signal_fraction,
-            stages,
-            output_noise_rms,
-            output_snr_db,
-        })
     }
 
     /// The analytic noise budget at an explicit frame rate, quoted at
@@ -1077,7 +1030,12 @@ impl ValidatedModel {
     /// comes from the frame budget).
     pub fn noise_report_at_fps(&self, fps: f64) -> Result<Option<NoiseReport>, CamjError> {
         let delay = self.estimate_delay_at(fps)?;
-        Ok(self.noise_report_for(&delay, DEFAULT_SIGNAL_FRACTION))
+        let (_, plan) = self.kernel_plan()?;
+        Ok(noise_report(
+            &plan.noise_chain,
+            &delay,
+            DEFAULT_SIGNAL_FRACTION,
+        ))
     }
 
     /// Simulates one frame functionally: renders `stimulus` at the
@@ -1288,12 +1246,13 @@ impl ValidatedModel {
     /// Propagates the delay-solve errors of [`Self::estimate_delay`].
     pub fn functional_fingerprint(&self, seeds: &[u64]) -> Result<Fingerprint, CamjError> {
         let delay = self.estimate_delay()?;
+        let (_, plan) = self.kernel_plan()?;
         let mut h = FpHasher::new();
         h.write_str(FUNCTIONAL_FINGERPRINT_DOMAIN);
         h.write_f64(delay.analog_unit_time.secs());
-        let chain = self.noise_chain();
+        let chain = &plan.noise_chain;
         h.write_usize(chain.len());
-        for stage in &chain {
+        for stage in chain {
             h.write_str(&stage.unit);
             // The source list is tiny; its JSON encoding (shortest
             // round-trip floats) is an exact, stable content key.
@@ -1374,15 +1333,16 @@ impl ValidatedModel {
 
         let exposure = delay.analog_unit_time;
         let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let stages = self
-            .noise_chain()
-            .into_iter()
+        let (_, plan) = self.kernel_plan()?;
+        let stages = plan
+            .noise_chain
+            .iter()
             .map(|stage| PlanStage {
                 // A stage without sources injects no noise and draws
                 // no samples.
                 std: (!stage.sources.is_empty())
                     .then(|| noise_std(&stage.sources, &clean, exposure, temperature_k)),
-                unit: stage.unit,
+                unit: stage.unit.clone(),
                 quant_bits: stage.quant_bits,
             })
             .collect();
@@ -1397,6 +1357,56 @@ impl ValidatedModel {
             dag,
         })
     }
+}
+
+/// The analytic noise budget of a resolved noise chain for an
+/// already-solved delay split: per-stage variance accumulation at
+/// `signal_fraction` of full scale. `None` when the chain contributes
+/// no noise at all — no descriptors and no digitising component, or
+/// only zero-amplitude sources (a `read` of 0, a dark current of
+/// 0 e⁻/s), which validation deliberately allows.
+fn noise_report(
+    chain: &[NoiseStage],
+    delay: &DelayEstimate,
+    signal_fraction: f64,
+) -> Option<NoiseReport> {
+    assert!(
+        signal_fraction > 0.0 && signal_fraction <= 1.0,
+        "signal fraction must be in (0, 1], got {signal_fraction}"
+    );
+    if !chain.iter().any(NoiseStage::is_noisy) {
+        return None;
+    }
+    let exposure = delay.analog_unit_time;
+    let mut cumulative_var = 0.0;
+    let stages: Vec<StageNoise> = chain
+        .iter()
+        .map(|stage| {
+            let added_var = stage.variance(
+                signal_fraction,
+                exposure,
+                camj_tech::constants::DEFAULT_TEMPERATURE_K,
+            );
+            cumulative_var += added_var;
+            let cumulative = cumulative_var.sqrt();
+            StageNoise {
+                unit: stage.unit.clone(),
+                added_noise_rms: added_var.sqrt(),
+                cumulative_noise_rms: cumulative,
+                snr_db: functional::snr_db(signal_fraction, cumulative),
+            }
+        })
+        .collect();
+    let output_noise_rms = cumulative_var.sqrt();
+    // Declared sources can all be zero-amplitude; such a chain is
+    // effectively noise-free, not an error.
+    let output_snr_db = functional::snr_db(signal_fraction, output_noise_rms)?;
+    Some(NoiseReport {
+        signal_fraction,
+        stages,
+        output_noise_rms,
+        output_snr_db,
+    })
 }
 
 /// Per-pixel noise standard deviation of one stage. Variances add
@@ -1857,7 +1867,14 @@ mod tests {
         let clean = &plan.clean;
         let mut noisy = clean.clone();
         let mut stages = Vec::new();
-        for (index, stage) in model.noise_chain().iter().enumerate() {
+        for (index, stage) in model
+            .kernel_plan()
+            .unwrap()
+            .1
+            .noise_chain
+            .iter()
+            .enumerate()
+        {
             let mut rng = functional::stage_rng(seed, index, &stage.unit);
             if !stage.sources.is_empty() {
                 let mut normals = [0.0; FRAME_CHUNK];

@@ -4,9 +4,10 @@
 //! `RAYON_NUM_THREADS=8`), across the quickstart, Ed-Gaze, and Rhythmic
 //! workloads.
 
-use camj::core::energy::EstimateReport;
+use camj::core::energy::{CacheStats, EstimateReport};
 use camj::explore::{
-    DesignPoint, EstimateCache, Explorer, MemoryKind, PointError, ProcessNode, Sweep, SweepResults,
+    Constraint, DesignPoint, EstimateCache, Explorer, MemoryKind, Objective, ParetoQuery,
+    PointError, ProcessNode, Sweep, SweepResults,
 };
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::{edgaze, quickstart, rhythmic};
@@ -78,14 +79,7 @@ fn edgaze_four_axis_sweep_is_deterministic_and_cached() {
         .tech_nodes([ProcessNode::N130, ProcessNode::N65])
         .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer]);
     assert_eq!(sweep.len(), 16);
-    let (results, stats) = assert_three_way_identical(&sweep, |point| {
-        let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, point.node("tech_node"))
-            .with_adc_bits(point.u32("bit_width"))
-            .with_frame_buffer_kind(point.memory("memory"));
-        edgaze::model_with(config)
-            .map(camj::core::energy::CamJ::into_validated)
-            .map_err(PointError::new)
-    });
+    let (results, stats) = assert_three_way_identical(&sweep, edgaze_point);
     assert_eq!(results.error_count(), 0, "{:?}", results.failures().next());
     // bit_width and tech_node axes cannot invalidate the elastic
     // simulation, so at most one simulation per memory kind runs and
@@ -130,6 +124,111 @@ fn infeasible_points_fail_identically_on_every_path() {
     });
     assert_eq!(results.ok_count(), 1);
     assert_eq!(results.error_count(), 1);
+}
+
+/// Builds the Ed-Gaze 2D-In model a 4-axis grid point describes.
+fn edgaze_point(point: &DesignPoint) -> Result<camj::core::energy::ValidatedModel, PointError> {
+    let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, point.node("tech_node"))
+        .with_adc_bits(point.u32("bit_width"))
+        .with_frame_buffer_kind(point.memory("memory"));
+    edgaze::model_with(config)
+        .map(camj::core::energy::CamJ::into_validated)
+        .map_err(PointError::new)
+}
+
+/// The Ed-Gaze 4-axis grid over `fps` and `bits`: × four CIS nodes ×
+/// both frame-buffer kinds.
+fn edgaze_grid(fps: impl IntoIterator<Item = f64>, bits: impl IntoIterator<Item = u32>) -> Sweep {
+    Sweep::new()
+        .fps_targets(fps)
+        .bit_widths(bits)
+        .tech_nodes([
+            ProcessNode::N130,
+            ProcessNode::N110,
+            ProcessNode::N90,
+            ProcessNode::N65,
+        ])
+        .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer])
+}
+
+/// Renders the three committed Ed-Gaze 4-axis queries with `explorer`,
+/// a fresh cache each: the 256-point sweep, the 256-point pareto under
+/// a 0.4 mW/mm² budget, and the exhaustive 4096-point pareto. Each
+/// query's JSON carries the cache stats `report(name, stats)` returns.
+fn edgaze_queries(
+    explorer: &Explorer,
+    report: impl Fn(&str, CacheStats) -> CacheStats,
+) -> Vec<(&'static str, String)> {
+    let g256 = edgaze_grid((0..8).map(|i| 10.0 + 2.0 * f64::from(i)), 8..12);
+    let g4096 = edgaze_grid((0..64).map(|i| 10.0 + 0.25 * f64::from(i)), 8..16);
+    let objectives = || vec![Objective::TotalEnergy, Objective::PowerDensity];
+    let mut out = Vec::new();
+
+    let cache = EstimateCache::shared();
+    let results = explorer.sweep_incremental(&g256, &cache, edgaze_point);
+    let stats = report("sweep256", cache.stats());
+    out.push(("sweep256", results.to_json(Some(&stats))));
+
+    let cache = EstimateCache::shared();
+    let query = ParetoQuery::new(objectives()).constrain(Constraint::MaxPowerDensity(0.4));
+    let results = explorer.pareto(&g256, &cache, &query, edgaze_point);
+    let stats = report("pareto256", cache.stats());
+    out.push(("pareto256", results.to_json(Some(&stats))));
+
+    let cache = EstimateCache::shared();
+    let query = ParetoQuery::new(objectives());
+    let results = explorer.pareto(&g4096, &cache, &query, edgaze_point);
+    let stats = report("pareto4096", cache.stats());
+    out.push(("pareto4096", results.to_json(Some(&stats))));
+    out
+}
+
+/// The committed golden of one Ed-Gaze 4-axis query.
+fn golden(name: &str) -> String {
+    let path = format!(
+        "{}/tests/golden/edgaze-4axis.{name}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The Ed-Gaze 4-axis sweep and paretos match goldens captured before
+/// the per-model kernel plan existed, byte for byte: points, frontier,
+/// prune counts, and the cache's hits, misses, entries, and bytes.
+///
+/// Serial runs match exactly. Under real threads, two groups sharing a
+/// topology can race to the same stall verdict, so the stall family's
+/// hit/miss split depends on scheduling (as its trace counters do).
+/// Parallel runs therefore report the golden's hit and miss counts and
+/// must match everything else, entries and bytes included.
+#[test]
+fn edgaze_four_axis_queries_match_the_committed_goldens() {
+    force_threads();
+    for (name, json) in edgaze_queries(&Explorer::serial(), |_, stats| stats) {
+        assert!(
+            format!("{json}\n") == golden(name),
+            "serial {name} diverged from tests/golden/edgaze-4axis.{name}.json"
+        );
+    }
+    let golden_split = |name: &str, stats: CacheStats| {
+        let golden: serde_json::Value = serde_json::from_str(&golden(name)).expect("golden parses");
+        let serial: CacheStats = golden
+            .as_object()
+            .and_then(|fields| fields.get("cache"))
+            .map(|cache| serde_json::from_value(cache).expect("golden cache stats"))
+            .expect("golden has a cache block");
+        CacheStats {
+            hits: serial.hits,
+            misses: serial.misses,
+            ..stats
+        }
+    };
+    for (name, json) in edgaze_queries(&Explorer::parallel(), golden_split) {
+        assert!(
+            format!("{json}\n") == golden(name),
+            "parallel {name} diverged from tests/golden/edgaze-4axis.{name}.json"
+        );
+    }
 }
 
 #[test]
