@@ -118,7 +118,7 @@ pub struct SearchIr {
 
 /// Feasibility budgets of a sweep's multi-objective block. Every field
 /// is optional; present fields must be positive and finite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepConstraintsIr {
     /// Thermal budget: the worst per-layer power density must not
     /// exceed this many mW/mm² (paper Sec. 6.2, Table 3).

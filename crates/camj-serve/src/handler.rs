@@ -1,6 +1,8 @@
 //! Request execution against the daemon's shared state: one
-//! process-wide [`EstimateCache`] (optionally disk-backed), a request
-//! dedup map, and the per-kind handlers mirroring the CLI subcommands.
+//! process-wide [`EstimateCache`] (optionally disk-backed) and a
+//! request dedup map. What a request means is decided by [`resolve`],
+//! the same path `camj <cmd>` runs locally; this module only
+//! deduplicates and renders wire frames.
 //!
 //! ## Dedup / in-flight contract
 //!
@@ -39,13 +41,11 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use serde_json::Value;
 
-use camj_core::energy::{EstimateCache, ValidatedModel};
-use camj_core::functional::Stimulus;
-use camj_desc::DesignDesc;
-use camj_explore::{Constraint, Explorer, Objective, ParetoQuery, SearchSpec, Sweep};
+use camj_core::energy::EstimateCache;
 use camj_tech::fingerprint::Fingerprint;
 
-use crate::protocol::{serialize_frame, Frame, Request, RequestKind};
+use crate::protocol::{serialize_frame, Frame, Reject, Request, RequestKind};
+use crate::resolve::{self, Outcome};
 use crate::tier::DiskTier;
 
 /// A finished response: the id-less wire lines of one request's frames.
@@ -153,258 +153,69 @@ impl SharedState {
             panic!("injected fault: request asked the handler to panic");
         }
         match request.kind {
-            RequestKind::Validate => self.run_validate(request),
-            RequestKind::Estimate => self.run_estimate(request),
-            RequestKind::Simulate => self.run_simulate(request),
-            RequestKind::Sweep => self.run_sweep(request),
-            RequestKind::Pareto => self.run_pareto(request, false),
-            RequestKind::Search => self.run_pareto(request, true),
             RequestKind::Stats => self.run_stats(),
             // Handled in respond(); unreachable through the public path.
             RequestKind::Shutdown => vec![],
+            _ => self
+                .run(request)
+                .unwrap_or_else(|reject| vec![reject.frame()]),
         }
     }
 
-    fn run_validate(&self, request: &Request) -> Vec<Frame> {
-        match load_design(request) {
-            Err(frame) => vec![*frame],
-            Ok((desc, _model)) => {
+    /// Loads the inline design, resolves the request against it, runs
+    /// the plan on the shared cache, and renders the outcome.
+    fn run(&self, request: &Request) -> Result<Vec<Frame>, Reject> {
+        let Some(design) = &request.design else {
+            return Err(Reject::at(
+                "request.design",
+                format!(
+                    "the '{}' request needs an inline design description",
+                    request.kind.as_str()
+                ),
+            ));
+        };
+        // Round-trip through text so camj-desc's own loader — with its
+        // path-qualified diagnostics — is the single validation
+        // authority. An inline design has no file directory, so a
+        // relative image stimulus resolves against the daemon's working
+        // directory.
+        let text = serde_json::to_string(design)
+            .map_err(|e| Reject::at("request.design", e.to_string()))?;
+        let (desc, model) = resolve::load_design(&text, None)?;
+        let plan = resolve::plan(request, &desc)?;
+        let outcome = resolve::execute(&plan, &model, &self.cache, |point| {
+            Ok(model.with_fps(point.fps("fps")))
+        })?;
+        Ok(match outcome {
+            Outcome::Validated => {
                 let mut body = serde_json::Map::new();
                 body.insert("ok", Value::Bool(true));
                 body.insert("name", Value::String(desc.name.clone()));
                 body.insert("fps", Value::Number(serde_json::Number::from_f64(desc.fps)));
                 vec![Frame::result(Value::Object(body))]
             }
-        }
-    }
-
-    fn run_estimate(&self, request: &Request) -> Vec<Frame> {
-        let fps = match single_fps(request) {
-            Ok(fps) => fps,
-            Err(frame) => return vec![*frame],
-        };
-        let (_desc, model) = match load_design_at(request, fps) {
-            Ok(x) => x,
-            Err(frame) => return vec![*frame],
-        };
-        let model = model.with_cache(Arc::clone(&self.cache));
-        match model.estimate() {
-            Ok(report) => vec![Frame::result(serde_json::to_value(&report))],
-            Err(e) => vec![Frame::error(
-                "request.design",
-                format!("estimation failed: {e}"),
-            )],
-        }
-    }
-
-    fn run_simulate(&self, request: &Request) -> Vec<Frame> {
-        let fps = match single_fps(request) {
-            Ok(fps) => fps,
-            Err(frame) => return vec![*frame],
-        };
-        let seed = request.seed.unwrap_or(42);
-        let samples = request.samples.unwrap_or(1);
-        if !(1..=1024).contains(&samples) {
-            return vec![Frame::error(
-                "request.samples",
-                format!("samples must be in 1..=1024, got {samples}"),
-            )];
-        }
-        let flag_stimulus = match request.stimulus.as_deref() {
-            None => None,
-            Some(text) => match text.parse::<Stimulus>() {
-                Ok(s) => Some(s),
-                Err(e) => return vec![Frame::error("request.stimulus", e)],
-            },
-        };
-        let (_desc, model) = match load_design_at(request, fps) {
-            Ok(x) => x,
-            Err(frame) => return vec![*frame],
-        };
-        // `request.stimulus` overrides the design's own stimulus block,
-        // which load_design_at already attached to the model.
-        let stimulus = flag_stimulus.unwrap_or_else(|| model.stimulus().clone());
-        let model = model.with_cache(Arc::clone(&self.cache));
-        let simulated = if samples > 1 {
-            let seeds: Vec<u64> = (0..u64::from(samples))
-                .map(|i| seed.wrapping_add(i))
-                .collect();
-            model
-                .simulate_frames(&seeds, &stimulus)
-                .map(|mc| serde_json::to_value(&mc))
-        } else {
-            model
-                .simulate_frame(seed, &stimulus)
-                .map(|report| serde_json::to_value(&report))
-        };
-        match simulated {
-            Ok(body) => vec![Frame::result(body)],
-            Err(e) => vec![Frame::error(
-                "request.design",
-                format!("functional simulation failed: {e}"),
-            )],
-        }
-    }
-
-    fn run_sweep(&self, request: &Request) -> Vec<Frame> {
-        let (desc, model) = match load_design(request) {
-            Ok(x) => x,
-            Err(frame) => return vec![*frame],
-        };
-        let targets = match sweep_targets(request, &desc) {
-            Ok(t) => t,
-            Err(frame) => return vec![*frame],
-        };
-        let sweep = Sweep::new().fps_targets(targets);
-        let results = Explorer::new().sweep_incremental(&sweep, &self.cache, |point| {
-            Ok(model.with_fps(point.fps("fps")))
-        });
-        // Stream one `point` frame per row, then the full deterministic
-        // body (rows + `"cache": null`, matching `to_json(None)`).
-        let rows = results.to_json_rows();
-        let mut frames: Vec<Frame> = rows
-            .iter()
-            .enumerate()
-            .map(|(seq, row)| Frame::point(seq as u64, row.clone()))
-            .collect();
-        let mut body = serde_json::Map::new();
-        body.insert("points", Value::Array(rows));
-        body.insert("cache", Value::Null);
-        frames.push(Frame::result(Value::Object(body)));
-        frames
-    }
-
-    /// `pareto` and `search` share their whole request surface; search
-    /// adds the adaptive-search knobs.
-    fn run_pareto(&self, request: &Request, search: bool) -> Vec<Frame> {
-        let (desc, model) = match load_design(request) {
-            Ok(x) => x,
-            Err(frame) => return vec![*frame],
-        };
-        let targets = match sweep_targets(request, &desc) {
-            Ok(t) => t,
-            Err(frame) => return vec![*frame],
-        };
-        let spec = desc.sweep.as_ref();
-        let names: Vec<String> = match (&request.objectives, spec) {
-            (Some(list), _) => list.clone(),
-            (None, Some(sweep)) => sweep
-                .objectives
-                .clone()
-                .unwrap_or_else(default_objective_names),
-            (None, None) => default_objective_names(),
-        };
-        let mut objectives = Vec::with_capacity(names.len());
-        for name in &names {
-            match name.parse::<Objective>() {
-                Ok(o) => objectives.push(o),
-                Err(e) => return vec![Frame::error("request.objectives", e)],
+            Outcome::Estimate(report) => vec![Frame::result(serde_json::to_value(&report))],
+            Outcome::Frame(report) => vec![Frame::result(serde_json::to_value(&report))],
+            Outcome::Frames(mc) => vec![Frame::result(serde_json::to_value(&mc))],
+            Outcome::Sweep(results) => {
+                // Stream one `point` frame per row, then the full
+                // deterministic body (rows + `"cache": null`, matching
+                // `to_json(None)`).
+                let rows = results.to_json_rows();
+                let mut frames: Vec<Frame> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, row)| Frame::point(seq as u64, row.clone()))
+                    .collect();
+                let mut body = serde_json::Map::new();
+                body.insert("points", Value::Array(rows));
+                body.insert("cache", Value::Null);
+                frames.push(Frame::result(Value::Object(body)));
+                frames
             }
-        }
-        if objectives.is_empty() {
-            return vec![Frame::error(
-                "request.objectives",
-                "at least one objective is required",
-            )];
-        }
-        let mut query = ParetoQuery::new(objectives);
-        // Request constraints override the description's whole block,
-        // exactly like CLI constraint flags.
-        let budgets: Vec<BudgetRow> = match (
-            &request.constraints,
-            spec.and_then(|s| s.constraints.as_ref()),
-        ) {
-            (Some(c), _) if c.any() => vec![
-                (
-                    c.max_power_density_mw_per_mm2,
-                    "request.constraints.max_power_density_mw_per_mm2",
-                    Constraint::MaxPowerDensity as fn(f64) -> Constraint,
-                ),
-                (
-                    c.max_digital_latency_ms,
-                    "request.constraints.max_digital_latency_ms",
-                    Constraint::MaxDigitalLatency,
-                ),
-                (
-                    c.max_total_energy_pj,
-                    "request.constraints.max_total_energy_pj",
-                    Constraint::MaxTotalEnergy,
-                ),
-            ],
-            (_, Some(c)) => vec![
-                (
-                    c.max_power_density_mw_per_mm2,
-                    "request.design",
-                    Constraint::MaxPowerDensity as fn(f64) -> Constraint,
-                ),
-                (
-                    c.max_digital_latency_ms,
-                    "request.design",
-                    Constraint::MaxDigitalLatency,
-                ),
-                (
-                    c.max_total_energy_pj,
-                    "request.design",
-                    Constraint::MaxTotalEnergy,
-                ),
-            ],
-            _ => vec![],
-        };
-        for (value, path, make) in budgets {
-            let Some(budget) = value else { continue };
-            if !(budget.is_finite() && budget > 0.0) {
-                return vec![Frame::error(
-                    path,
-                    format!("constraint budgets must be positive and finite, got {budget}"),
-                )];
-            }
-            query = query.constrain(make(budget));
-        }
-        let sweep = Sweep::new().fps_targets(targets);
-        if !search {
-            let results = Explorer::new().pareto(&sweep, &self.cache, &query, |point| {
-                Ok(model.with_fps(point.fps("fps")))
-            });
-            return vec![Frame::result(reparse(&results.to_json(None)))];
-        }
-        let mut search_spec = SearchSpec::new();
-        if let Some(ir) = spec.and_then(|s| s.search.as_ref()) {
-            if let Some(n) = ir.population {
-                search_spec = search_spec.population(clamp_to_usize(n));
-            }
-            if let Some(n) = ir.generations {
-                search_spec = search_spec.generations(clamp_to_usize(n));
-            }
-            if let Some(n) = ir.seed {
-                search_spec = search_spec.seed(n);
-            }
-            if let Some(n) = ir.budget {
-                search_spec = search_spec.budget(clamp_to_usize(n));
-            }
-        }
-        let knobs = [
-            (request.population, "request.population"),
-            (request.generations, "request.generations"),
-            (request.budget, "request.budget"),
-        ];
-        for (value, path) in knobs {
-            let Some(n) = value else { continue };
-            if n == 0 {
-                return vec![Frame::error(path, "must be a positive integer")];
-            }
-            search_spec = match path {
-                "request.population" => search_spec.population(clamp_to_usize(n)),
-                "request.generations" => search_spec.generations(clamp_to_usize(n)),
-                _ => search_spec.budget(clamp_to_usize(n)),
-            };
-        }
-        if let Some(seed) = request.seed {
-            search_spec = search_spec.seed(seed);
-        }
-        let results = Explorer::new().search(&sweep, &self.cache, &query, &search_spec, |point| {
-            Ok(model.with_fps(point.fps("fps")))
-        });
-        vec![Frame::result(reparse(&results.to_json(None)))]
+            Outcome::Pareto(results) => vec![Frame::result(reparse(&results.to_json(None)))],
+            Outcome::Search(results) => vec![Frame::result(reparse(&results.to_json(None)))],
+        })
     }
 
     fn run_stats(&self) -> Vec<Frame> {
@@ -433,114 +244,10 @@ impl SharedState {
     }
 }
 
-/// One constraint budget: its value, the error path to blame when it
-/// is invalid, and the [`Constraint`] constructor it feeds.
-type BudgetRow = (Option<f64>, &'static str, fn(f64) -> Constraint);
-
 /// Renders frames into their wire lines (id-less: every frame here
 /// carries id 0, which [`crate::protocol::stamp_line`] rewrites).
 fn render(frames: &[Frame]) -> Vec<String> {
     frames.iter().map(serialize_frame).collect()
-}
-
-/// Parses, validates, and builds the request's inline design. Error
-/// frames are boxed: the happy path shouldn't pay a frame-sized `Err`
-/// variant in every `Result` it threads through.
-fn load_design(request: &Request) -> Result<(DesignDesc, ValidatedModel), Box<Frame>> {
-    load_design_at(request, None)
-}
-
-/// Like [`load_design`], with an optional frame-rate override.
-fn load_design_at(
-    request: &Request,
-    fps: Option<f64>,
-) -> Result<(DesignDesc, ValidatedModel), Box<Frame>> {
-    let Some(design) = &request.design else {
-        return Err(Box::new(Frame::error(
-            "request.design",
-            format!(
-                "the '{}' request needs an inline design description",
-                request.kind.as_str()
-            ),
-        )));
-    };
-    // Round-trip through text so camj-desc's own loader — with its
-    // path-qualified diagnostics — is the single validation authority.
-    let text = serde_json::to_string(design)
-        .map_err(|e| Box::new(Frame::error("request.design", e.to_string())))?;
-    let mut desc = DesignDesc::from_json(&text)
-        .map_err(|e| Box::new(Frame::error("request.design", e.to_string())))?;
-    if let Some(fps) = fps {
-        if !(fps.is_finite() && fps > 0.0) {
-            return Err(Box::new(Frame::error(
-                "request.fps",
-                format!("fps must be positive and finite, got {fps}"),
-            )));
-        }
-        desc.fps = fps;
-    }
-    let mut model = desc
-        .build()
-        .map_err(|e| Box::new(Frame::error("request.design", e.to_string())))?;
-    // An inline design has no file directory, so a relative image
-    // stimulus resolves against the daemon's working directory.
-    if let Some(ir) = &desc.stimulus {
-        let stimulus = ir
-            .resolve(None)
-            .map_err(|e| Box::new(Frame::error("request.design.stimulus", e.to_string())))?;
-        model = model.with_stimulus(stimulus);
-    }
-    Ok((desc, model))
-}
-
-/// `estimate`/`simulate` take at most one frame-rate target.
-fn single_fps(request: &Request) -> Result<Option<f64>, Box<Frame>> {
-    match request.fps.as_deref() {
-        None | Some([]) => Ok(None),
-        Some([fps]) => Ok(Some(*fps)),
-        Some(more) => Err(Box::new(Frame::error(
-            "request.fps",
-            format!(
-                "'{}' takes a single fps target, got {}",
-                request.kind.as_str(),
-                more.len()
-            ),
-        ))),
-    }
-}
-
-/// Sweep targets: the request's list, else the design's `sweep.fps`.
-fn sweep_targets(request: &Request, desc: &DesignDesc) -> Result<Vec<f64>, Box<Frame>> {
-    let targets = match (&request.fps, &desc.sweep) {
-        (Some(list), _) if !list.is_empty() => list.clone(),
-        (_, Some(sweep)) if !sweep.fps.is_empty() => sweep.fps.clone(),
-        _ => {
-            return Err(Box::new(Frame::error(
-                "request.fps",
-                "no frame-rate targets: set request.fps or a `sweep.fps` list in the design",
-            )))
-        }
-    };
-    for fps in &targets {
-        if !(fps.is_finite() && *fps > 0.0) {
-            return Err(Box::new(Frame::error(
-                "request.fps",
-                format!("fps targets must be positive and finite, got {fps}"),
-            )));
-        }
-    }
-    Ok(targets)
-}
-
-/// The objectives used when neither the request nor the design names
-/// any — the same default the CLI applies.
-fn default_objective_names() -> Vec<String> {
-    vec!["total_energy".to_owned(), "power_density".to_owned()]
-}
-
-/// Saturating u64 → usize for description/request knobs.
-fn clamp_to_usize(n: u64) -> usize {
-    usize::try_from(n).unwrap_or(usize::MAX)
 }
 
 /// Re-parses a serializer's JSON string into a `Value` body. The

@@ -19,9 +19,14 @@
 //!   written through on every compute (`fsync` + atomic rename), so
 //!   warm starts survive daemon restarts and corruption degrades to a
 //!   recompute, never a wrong answer;
-//! * [`handler`] — per-kind execution with CLI parity, plus request
-//!   dedup: identical in-flight requests join one computation slot and
-//!   completed responses replay from memory;
+//! * [`resolve`] — the one request model: loads a design, applies the
+//!   "request beats the description's `sweep` block beats the default"
+//!   policy to produce a [`Plan`](resolve::Plan), and runs it. `camj
+//!   <cmd>` parses its flags into the same [`Request`] and calls the
+//!   same three functions, so the CLI and the daemon cannot drift;
+//! * [`handler`] — request dedup around [`resolve`]: identical
+//!   in-flight requests join one computation slot and completed
+//!   responses replay from memory as pre-rendered frames;
 //! * [`server`] — blocking I/O: a thread-per-connection accept loop
 //!   (TCP, or `--stdio` for tests/CI) feeding a bounded job queue with
 //!   backpressure into a fixed worker pool, each job wrapped in
@@ -44,6 +49,7 @@
 pub mod client;
 pub mod handler;
 pub mod protocol;
+pub mod resolve;
 pub mod server;
 pub mod tier;
 

@@ -28,6 +28,7 @@
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
+use camj_desc::ir::SweepConstraintsIr;
 use camj_tech::fingerprint::{Fingerprint, FpHasher};
 
 /// Hard cap on one protocol line, in bytes. Inline designs are tens of
@@ -88,29 +89,6 @@ impl RequestKind {
     }
 }
 
-/// Feasibility budgets for `pareto`/`search` requests; mirrors the
-/// description IR's `sweep.constraints` block (present request fields
-/// override the whole description block, exactly like CLI flags).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ConstraintsReq {
-    /// Worst per-layer power density budget, mW/mm².
-    pub max_power_density_mw_per_mm2: Option<f64>,
-    /// Digital latency budget, ms.
-    pub max_digital_latency_ms: Option<f64>,
-    /// Total per-frame energy budget, pJ.
-    pub max_total_energy_pj: Option<f64>,
-}
-
-impl ConstraintsReq {
-    /// Whether any budget is present.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.max_power_density_mw_per_mm2.is_some()
-            || self.max_digital_latency_ms.is_some()
-            || self.max_total_energy_pj.is_some()
-    }
-}
-
 /// One client request. Fields beyond `kind` are per-kind knobs with
 /// the same defaults as the CLI flags they mirror; absent fields fall
 /// back to the inline design's `sweep` block where one exists.
@@ -139,8 +117,10 @@ pub struct Request {
     pub stimulus: Option<String>,
     /// Objective names (`pareto`, `search`).
     pub objectives: Option<Vec<String>>,
-    /// Feasibility budgets (`pareto`, `search`).
-    pub constraints: Option<ConstraintsReq>,
+    /// Feasibility budgets (`pareto`, `search`), in the description's
+    /// `sweep.constraints` shape. A block naming any budget replaces
+    /// the design's whole block.
+    pub constraints: Option<SweepConstraintsIr>,
     /// Search population (`search`).
     pub population: Option<u64>,
     /// Search generation cap (`search`).

@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 
+use camj_desc::ir::SweepConstraintsIr;
 use camj_serve::protocol::{
-    parse_frame, parse_request, serialize_frame, serialize_request, stamp_line, ConstraintsReq,
-    Frame, Request, RequestKind, MAX_LINE_BYTES,
+    parse_frame, parse_request, serialize_frame, serialize_request, stamp_line, Frame, Request,
+    RequestKind, MAX_LINE_BYTES,
 };
 use serde_json::Value;
 
@@ -82,7 +83,7 @@ fn build_request(kind: RequestKind, id: u64, mask: u32, seed: u64) -> Request {
         request.objectives = Some(vec!["total_energy".into(), format!("stage:s{seed}")]);
     }
     if mask & 64 != 0 {
-        request.constraints = Some(ConstraintsReq {
+        request.constraints = Some(SweepConstraintsIr {
             max_power_density_mw_per_mm2: Some(1.0 / 3.0),
             max_digital_latency_ms: None,
             max_total_energy_pj: Some((seed as f64).sqrt() + 0.125),
@@ -215,4 +216,31 @@ fn ids_survive_rejection_for_correlation() {
     assert_eq!((reject.id, reject.path.as_str()), (77, "request.kind"));
     let frame = reject.frame();
     assert_eq!(frame.id, 77);
+}
+
+/// The constraint block reuses the description IR's
+/// `SweepConstraintsIr`; its wire bytes, and so every dedup
+/// fingerprint and disk-tier key derived from them, are pinned here.
+#[test]
+fn constraint_budgets_keep_their_wire_bytes() {
+    let mut request = Request::new(RequestKind::Pareto);
+    request.id = 7;
+    request.fps = Some(vec![15.0, 30.0]);
+    request.objectives = Some(vec!["total_energy".into(), "delay".into()]);
+    request.constraints = Some(SweepConstraintsIr {
+        max_power_density_mw_per_mm2: Some(1.0 / 3.0),
+        max_digital_latency_ms: Some(2.5),
+        max_total_energy_pj: Some(1e6),
+    });
+    assert_eq!(
+        serialize_request(&request),
+        "{\"id\":7,\"kind\":\"pareto\",\"fps\":[15,30],\
+         \"objectives\":[\"total_energy\",\"delay\"],\
+         \"constraints\":{\"max_power_density_mw_per_mm2\":0.3333333333333333,\
+         \"max_digital_latency_ms\":2.5,\"max_total_energy_pj\":1000000}}"
+    );
+    assert_eq!(
+        format!("{:?}", request.fingerprint()),
+        "Fingerprint { hi: 5203345272585657807, lo: 13928542010554365168 }"
+    );
 }

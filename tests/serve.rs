@@ -47,8 +47,15 @@ impl Daemon {
     /// Spawns `camj serve --listen 127.0.0.1:0 <extra>` with the given
     /// environment and parses the bound address off the stderr banner.
     fn spawn(extra: &[&str], env: &[(&str, &str)]) -> Self {
+        Self::spawn_in(".", extra, env)
+    }
+
+    /// [`Daemon::spawn`] with working directory `dir`, against which
+    /// inline designs resolve relative stimulus paths.
+    fn spawn_in(dir: &str, extra: &[&str], env: &[(&str, &str)]) -> Self {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
-        cmd.args(["serve", "--listen", "127.0.0.1:0"])
+        cmd.current_dir(dir)
+            .args(["serve", "--listen", "127.0.0.1:0"])
             .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -709,6 +716,74 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
         String::from_utf8_lossy(&bad.stderr).contains("error[request.fps]"),
         "stderr: {}",
         String::from_utf8_lossy(&bad.stderr)
+    );
+    daemon.shutdown();
+
+    // Locally the same request fails in the same resolver, as a usage
+    // error (exit 2) rather than a model error.
+    let local = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args([
+            "estimate",
+            "--design",
+            "descriptions/quickstart.json",
+            "--fps",
+            "30,60",
+        ])
+        .output()
+        .expect("camj runs");
+    assert_eq!(local.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&local.stderr)
+            .contains("'estimate' takes a single fps target, got 2"),
+        "stderr: {}",
+        String::from_utf8_lossy(&local.stderr)
+    );
+}
+
+/// CLI↔daemon parity: `camj pareto --connect` answers with the
+/// committed local frontier, minus the warmth-dependent cache stats.
+#[test]
+fn connected_pareto_matches_the_local_golden() {
+    let _cpu = shared_cpu();
+    // The daemon resolves the inline design's relative stimulus path
+    // against its own working directory.
+    let daemon = Daemon::spawn_in("descriptions", &["--workers", "1"], &[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+        .args([
+            "pareto",
+            "--design",
+            "descriptions/edgaze.json",
+            "--connect",
+            &daemon.addr,
+        ])
+        .output()
+        .expect("camj runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = fs::read_to_string("descriptions/edgaze.pareto.json").unwrap();
+    let Value::Object(golden) = serde_json::from_str::<Value>(&golden).unwrap() else {
+        panic!("the pareto golden is a JSON object");
+    };
+    let mut expected = serde_json::Map::new();
+    for (key, value) in golden.iter() {
+        expected.insert(
+            key,
+            if key == "cache" {
+                Value::Null
+            } else {
+                value.clone()
+            },
+        );
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "{}\n",
+            serde_json::to_string_pretty(&Value::Object(expected)).unwrap()
+        )
     );
     daemon.shutdown();
 }
