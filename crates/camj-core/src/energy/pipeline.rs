@@ -42,7 +42,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use camj_digital::functional::{BoxStencil, Resample, Shape};
 use camj_digital::memory::MemoryStructure;
+use camj_digital::quantize::Quantizer;
 use camj_digital::sim::{NodeId, PipelineSimBuilder, SimError, SimReport, SourceMode};
 use camj_tech::fingerprint::{Fingerprint, FpHasher};
 use camj_tech::units::{Energy, Time};
@@ -1309,8 +1311,8 @@ impl ValidatedModel {
     /// Resolves everything about a frame simulation that does not
     /// depend on the seed: the rendered clean frame, the signal level,
     /// every noisy stage's per-pixel noise standard deviation, and the
-    /// digital-DAG reference pass. One plan serves every seed of a
-    /// Monte-Carlo run.
+    /// digital-DAG plan with its reference pass. One plan serves every
+    /// seed of a Monte-Carlo run.
     fn frame_plan(&self, stimulus: &Stimulus) -> Result<FramePlan, CamjError> {
         let _span = obs_core::span("frame.plan");
         let delay = self.estimate_delay()?;
@@ -1327,7 +1329,10 @@ impl ValidatedModel {
         let (width, height, channels) = (size.width, size.height, size.channels);
         let pixels = size.count() as usize;
 
-        let clean = stimulus.render(width, height, channels);
+        let clean = {
+            let _span = obs_core::span("frame.render");
+            stimulus.render(width, height, channels)
+        };
         let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
         let dag = DagPlan::build(&self.algo, (width, height, channels), &clean);
 
@@ -1340,10 +1345,12 @@ impl ValidatedModel {
             .map(|stage| PlanStage {
                 // A stage without sources injects no noise and draws
                 // no samples.
-                std: (!stage.sources.is_empty())
-                    .then(|| noise_std(&stage.sources, &clean, exposure, temperature_k)),
+                std: (!stage.sources.is_empty()).then(|| {
+                    let noise = PixelNoise::new(&stage.sources, exposure, temperature_k);
+                    stimulus.render_with(width, height, channels, |level| noise.std(level))
+                }),
                 unit: stage.unit.clone(),
-                quant_bits: stage.quant_bits,
+                quantizer: stage.quant_bits.map(Quantizer::new),
             })
             .collect();
         Ok(FramePlan {
@@ -1409,44 +1416,70 @@ fn noise_report(
     })
 }
 
-/// Per-pixel noise standard deviation of one stage. Variances add
-/// source by source (declaration order) and take one square root;
-/// pixels without variance get an exact zero.
+/// One stage's per-pixel noise standard deviation as a function of the
+/// pixel's clean level. The frame plan renders it like the clean frame
+/// ([`Stimulus::render_with`]), so each distinct stimulus level is
+/// evaluated once.
 ///
-/// Only photon shot noise depends on the pixel value — it reads the
-/// *clean* pixel, so it is deterministic and unbiased by upstream noise
+/// Only photon shot noise depends on the level — it reads the *clean*
+/// pixel, so it is deterministic and unbiased by upstream noise
 /// realisations. Every other source's variance is constant across the
-/// frame, so it is evaluated once per source.
-fn noise_std(
-    sources: &[camj_analog::noise::NoiseSource],
-    clean: &[f64],
-    exposure: Time,
-    temperature_k: f64,
-) -> Vec<f64> {
-    let mut var = vec![0.0_f64; clean.len()];
-    for source in sources {
-        match *source {
-            camj_analog::noise::NoiseSource::PhotonShot {
-                full_well_electrons,
-            } => {
-                for (v, reference) in var.iter_mut().zip(clean) {
-                    let rms = (*reference / full_well_electrons).sqrt();
-                    *v += rms * rms;
+/// frame, so it is evaluated once per source, here.
+struct PixelNoise {
+    terms: Vec<NoiseTerm>,
+}
+
+/// One source's variance term.
+enum NoiseTerm {
+    Shot { full_well_electrons: f64 },
+    Constant(f64),
+}
+
+impl PixelNoise {
+    fn new(
+        sources: &[camj_analog::noise::NoiseSource],
+        exposure: Time,
+        temperature_k: f64,
+    ) -> Self {
+        let terms = sources
+            .iter()
+            .map(|source| match *source {
+                camj_analog::noise::NoiseSource::PhotonShot {
+                    full_well_electrons,
+                } => NoiseTerm::Shot {
+                    full_well_electrons,
+                },
+                _ => {
+                    let rms = source.rms_fraction(0.0, exposure, temperature_k);
+                    NoiseTerm::Constant(rms * rms)
                 }
-            }
-            _ => {
-                let rms = source.rms_fraction(0.0, exposure, temperature_k);
-                let c = rms * rms;
-                for v in var.iter_mut() {
-                    *v += c;
+            })
+            .collect();
+        PixelNoise { terms }
+    }
+
+    /// The standard deviation at clean level `reference`: variances add
+    /// source by source, in declaration order, under one square root; a
+    /// level without variance gets an exact zero.
+    fn std(&self, reference: f64) -> f64 {
+        let mut var = 0.0;
+        for term in &self.terms {
+            var += match *term {
+                NoiseTerm::Shot {
+                    full_well_electrons,
+                } => {
+                    let rms = (reference / full_well_electrons).sqrt();
+                    rms * rms
                 }
-            }
+                NoiseTerm::Constant(c) => c,
+            };
+        }
+        if var > 0.0 {
+            var.sqrt()
+        } else {
+            0.0
         }
     }
-    for v in &mut var {
-        *v = if *v > 0.0 { v.sqrt() } else { 0.0 };
-    }
-    var
 }
 
 /// One stage of a frame plan: the unit name (cold path — report rows
@@ -1456,7 +1489,7 @@ struct PlanStage {
     unit: String,
     /// `None` when the stage declares no noise sources.
     std: Option<Vec<f64>>,
-    quant_bits: Option<u32>,
+    quantizer: Option<Quantizer>,
 }
 
 /// Everything about a frame simulation that is independent of the
@@ -1486,11 +1519,18 @@ impl FramePlan {
     ///
     /// Noise is drawn with the ziggurat sampler
     /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1)
-    /// and deterministic for the seed — one [`FRAME_CHUNK`] span at a
-    /// time, and applied from the plan's precomputed std lanes, so the
-    /// per-seed loop touches no variance term, no division, and no
-    /// square root. Clamping, quantization, and the squared error each
-    /// stage reports fuse into those passes.
+    /// and deterministic for the seed — and applied from the plan's
+    /// precomputed std lanes, so the per-seed loop touches no variance
+    /// term, no division, and no square root.
+    ///
+    /// The frame is walked once, one [`FRAME_CHUNK`] span at a time,
+    /// while each span is L1-resident: the span runs through every
+    /// stage (noise, clamp, quantization, and the stage's squared error
+    /// in one loop), and the last stage's loop also feeds the output
+    /// statistics and the digest. Every stage owns its
+    /// RNG stream and draws one span of it per span, so the draws match
+    /// a stage-by-stage walk of the whole frame; each accumulator sums
+    /// in pixel order, as a whole-frame pass would.
     fn simulate(&self, seed: u64) -> FrameSimReport {
         // One coarse span per frame; the chunked loops below are never
         // probed individually.
@@ -1501,90 +1541,75 @@ impl FramePlan {
             0,
             (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
         );
-        let mut noisy = self.clean.clone();
+        let mut rngs: Vec<_> = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(index, stage)| functional::stage_rng(seed, index, &stage.unit))
+            .collect();
+        // Squared error of each stage's output against the clean frame.
+        let mut sq = vec![0.0_f64; self.stages.len()];
         let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut stages = Vec::with_capacity(self.stages.len());
-        let len = noisy.len().max(1) as f64;
-        for (index, stage) in self.stages.iter().enumerate() {
-            let mut rng = functional::stage_rng(seed, index, &stage.unit);
-            // Squared error against the clean frame, accumulated by
-            // whichever fused pass ran last (pixel order, so the value
-            // matches what `rms_error` would measure).
-            let mut sq = None;
-            if let Some(std) = &stage.std {
-                let mut acc = 0.0;
-                for ((noisy_span, std_span), clean_span) in noisy
-                    .chunks_mut(FRAME_CHUNK)
-                    .zip(std.chunks(FRAME_CHUNK))
-                    .zip(self.clean.chunks(FRAME_CHUNK))
-                {
+        let mut noisy: Vec<f64> = Vec::with_capacity(self.clean.len());
+        let mut sum = 0.0;
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut h = FpHasher::new();
+        h.write_str("camj.frame-digest-mc/v1");
+        // The output statistics and the digest, fed each final value as
+        // the last stage produces it, so every dependency chain of the
+        // frame's tail runs in one loop. Word-by-word feeding yields the
+        // stream one whole-frame bulk write would.
+        let mut tally = |v: f64| {
+            sum += v;
+            min = min.min(v);
+            max = max.max(v);
+            h.write_f64_slice_bulk(std::slice::from_ref(&v));
+        };
+        let last = self.stages.len().checked_sub(1);
+        for clean_span in self.clean.chunks(FRAME_CHUNK) {
+            let start = noisy.len();
+            noisy.extend_from_slice(clean_span);
+            let span = &mut noisy[start..];
+            for (index, ((stage, rng), sq)) in
+                self.stages.iter().zip(&mut rngs).zip(&mut sq).enumerate()
+            {
+                let noise = stage.std.as_ref().map(|std| {
                     // One draw per pixel, zero-std lanes included: the
                     // add of `n · 0.0` is exact, and the branch-free
                     // span keeps the loop superscalar. (Zero-std
                     // pixels are rare — they need a shot-only stage
                     // over black pixels.)
-                    let normals = &mut normals[..noisy_span.len()];
-                    rand::normal::fill_standard_normal_fast(&mut rng, normals);
-                    for (((value, s), n), c) in noisy_span
-                        .iter_mut()
-                        .zip(std_span.iter())
-                        .zip(normals.iter())
-                        .zip(clean_span.iter())
-                    {
-                        // The physical rails clip: charge saturates at
-                        // the full well, swings at the supplies.
-                        *value = (*value + n * s).clamp(0.0, 1.0);
-                        let d = *value - c;
-                        acc += d * d;
-                    }
+                    let normals = &mut normals[..span.len()];
+                    rand::normal::fill_standard_normal_fast(rng, normals);
+                    (&std[start..start + span.len()], &normals[..])
+                });
+                if Some(index) == last {
+                    stage_pass(span, clean_span, noise, stage.quantizer, sq, &mut tally);
+                } else {
+                    stage_pass(span, clean_span, noise, stage.quantizer, sq, |_| {});
                 }
-                sq = Some(acc);
             }
-            if let Some(bits) = stage.quant_bits {
-                sq = Some(camj_digital::quantize::quantize_slice_sq_err(
-                    &mut noisy,
-                    &self.clean,
-                    bits,
-                ));
+            if last.is_none() {
+                span.iter().for_each(|&v| tally(v));
             }
-            let noise_rms =
-                sq.map_or_else(|| rms_error(&noisy, &self.clean), |sq| (sq / len).sqrt());
-            stages.push(StageSim {
-                unit: stage.unit.clone(),
-                noise_rms,
-                snr_db: functional::snr_db(self.signal_rms, noise_rms),
-            });
         }
-        self.finish(seed, stages, &noisy)
-    }
-
-    /// Seals a simulated frame: output statistics, the frame digest,
-    /// then the digital-DAG pass on the final frame (which adds no
-    /// randomness).
-    fn finish(&self, seed: u64, stages: Vec<StageSim>, noisy: &[f64]) -> FrameSimReport {
+        let len = noisy.len().max(1) as f64;
+        let stages: Vec<StageSim> = self
+            .stages
+            .iter()
+            .zip(&sq)
+            .map(|(stage, sq)| {
+                let noise_rms = (sq / len).sqrt();
+                StageSim {
+                    unit: stage.unit.clone(),
+                    noise_rms,
+                    snr_db: functional::snr_db(self.signal_rms, noise_rms),
+                }
+            })
+            .collect();
         // The last stage already measured the final frame against the
-        // clean frame; recompute only when there was no stage at all.
-        let noise_rms = stages
-            .last()
-            .map_or_else(|| rms_error(noisy, &self.clean), |s| s.noise_rms);
-        // Statistics fuse into the digest walk, span by span while each
-        // span is still L1-resident: the sum runs in the same
-        // left-to-right order a plain `iter().sum()` would, and hashing
-        // span by span yields the exact stream one whole-slice call
-        // would.
-        let mut sum = 0.0;
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut h = FpHasher::new();
-        h.write_str("camj.frame-digest-mc/v1");
-        for span in noisy.chunks(FRAME_CHUNK) {
-            for v in span {
-                sum += *v;
-                min = min.min(*v);
-                max = max.max(*v);
-            }
-            h.write_f64_slice_bulk(span);
-        }
-        let mean = sum / noisy.len().max(1) as f64;
+        // clean frame; with no stage at all the frame is the clean one.
+        let noise_rms = stages.last().map_or(0.0, |s| s.noise_rms);
         let (hi, lo) = h.finish().parts();
         FrameSimReport {
             seed,
@@ -1594,16 +1619,57 @@ impl FramePlan {
             channels: self.channels,
             stages,
             output: OutputStats {
-                mean,
+                mean: sum / len,
                 min,
                 max,
                 noise_rms,
                 snr_db: functional::snr_db(self.signal_rms, noise_rms),
             },
             digest: format!("{hi:016x}{lo:016x}"),
-            dag: self.dag.as_ref().map(|dag| dag.run(noisy)),
+            // The DAG pass runs on the finished frame and adds no
+            // randomness.
+            dag: self.dag.as_ref().map(|dag| dag.run(&noisy)),
         }
     }
+}
+
+/// Runs one noise stage over one span: the noise (`(std, normals)`
+/// lanes, when the stage has sources) and the rail clamp, the
+/// quantization, and the squared error against `clean`, accumulated into
+/// `sq` in pixel order, all in one loop. Each value the stage leaves
+/// goes on to `tally`.
+#[inline]
+fn stage_pass(
+    span: &mut [f64],
+    clean: &[f64],
+    noise: Option<(&[f64], &[f64])>,
+    quantizer: Option<Quantizer>,
+    sq: &mut f64,
+    mut tally: impl FnMut(f64),
+) {
+    let mut acc = *sq;
+    let mut finish = |value: &mut f64, v: f64, c: f64| {
+        let v = quantizer.map_or(v, |q| q.apply(v));
+        *value = v;
+        let d = v - c;
+        acc += d * d;
+        tally(v);
+    };
+    match noise {
+        Some((std, normals)) => {
+            for (((value, s), n), c) in span.iter_mut().zip(std).zip(normals).zip(clean) {
+                // The physical rails clip: charge saturates at the full
+                // well, swings at the supplies.
+                finish(value, (*value + n * s).clamp(0.0, 1.0), *c);
+            }
+        }
+        None => {
+            for (value, c) in span.iter_mut().zip(clean) {
+                finish(value, *value, *c);
+            }
+        }
+    }
+    *sq = acc;
 }
 
 /// The Monte-Carlo reducer: mean and sample standard deviation of one
@@ -1612,22 +1678,52 @@ fn across<T, V: SeedStat>(per_seed: &[T], value: impl Fn(&T) -> V) -> (V, V) {
     V::mean_std(&per_seed.iter().map(value).collect::<Vec<V>>())
 }
 
+/// One operand of a planned DAG stage: the tensor slot it reads (`0`
+/// is the sensor frame, `i + 1` is plan stage `i`'s output) and, when
+/// that tensor's shape differs from the stage's declared input, the
+/// resample that adapts it. A same-shape operand is borrowed as is.
+struct DagOperand {
+    slot: usize,
+    adapt: Option<Resample>,
+}
+
+/// The planned pass of one DAG stage.
+enum DagStep {
+    /// The stage's pass is the identity, so its output *is* plan stage
+    /// `index`'s output: one operand, no shape change, and a
+    /// requantization onto a grid no finer than the one that tensor is
+    /// already on (a fixed point, bit for bit).
+    Alias(usize),
+    /// Combine the operands (their mean, skipped for one operand — it is
+    /// the identity), run the kernel, and requantize in the kernel's
+    /// pass (`None` when the kernel only moves values that already lie
+    /// on a grid no finer than the stage's).
+    Run {
+        operands: Vec<DagOperand>,
+        kernel: DagKernel,
+        requantize: Option<Quantizer>,
+    },
+}
+
+/// The tensor transform of a planned stage.
+enum DagKernel {
+    /// Window means of a stencil stage.
+    Stencil(BoxStencil),
+    /// The shape adapter of element-wise, DNN, and custom stages
+    /// (identity shapes copy).
+    Resample(Resample),
+}
+
 /// One functionally executable stage of a [`DagPlan`].
 struct DagPlanStage {
     name: String,
-    kind: StageKind,
-    /// Producer tensor slots: `0` is the sensor frame, `i + 1` is plan
-    /// stage `i`'s output. Edge order matches the DAG's edge list, so
-    /// execution is deterministic.
-    producers: Vec<usize>,
-    in_shape: (u32, u32, u32),
-    out_shape: (u32, u32, u32),
-    bits: u32,
+    out_shape: Shape,
+    step: DagStep,
 }
 
 /// The resolved digital-DAG functional pass: every non-input stage of
-/// the algorithm in topological order, plus the clean-frame reference
-/// tensors the noisy pass is judged against.
+/// the algorithm in topological order, with its geometry planned, plus
+/// the clean-frame reference tensors the noisy pass is judged against.
 ///
 /// Execution semantics per stage kind live in
 /// [`camj_digital::functional`]; each stage output is requantized to
@@ -1637,27 +1733,31 @@ struct DagPlanStage {
 /// arithmetic in index order — a DAG pass is a deterministic function
 /// of its input tensor alone, byte-identical across thread counts.
 struct DagPlan {
-    frame_shape: (u32, u32, u32),
     stages: Vec<DagPlanStage>,
     /// The judged output: index of the last stage in topological order.
     sink: usize,
-    /// Per-stage clean-frame reference outputs.
+    /// Per-stage clean-frame reference outputs (empty for an alias).
     references: Vec<Vec<f64>>,
     /// RMS of each reference tensor (the signal level stage SNR is
     /// quoted against).
     reference_rms: Vec<f64>,
+    /// The sink reference's centroid, for the task metrics.
+    reference_centroid: (f64, f64),
 }
 
 impl DagPlan {
     /// Resolves the plan and runs the clean reference pass. `None`
     /// when the algorithm has no non-input stages (nothing digital to
     /// execute).
-    fn build(
-        algo: &AlgorithmGraph,
-        frame_shape: (u32, u32, u32),
-        clean: &[f64],
-    ) -> Option<DagPlan> {
+    fn build(algo: &AlgorithmGraph, frame_shape: Shape, clean: &[f64]) -> Option<DagPlan> {
         let topo = algo.topo_order().ok()?;
+        // Per tensor slot (`0` the sensor frame, `i + 1` plan stage
+        // `i`): its shape, and the bit width of the quantization grid
+        // its values are known to lie on (the clean sensor frame lies
+        // on none).
+        let mut slots: Vec<(Shape, Option<u32>)> = vec![(frame_shape, None)];
+        // The slot holding each stage's output: an alias reads through
+        // to the stage it aliases.
         let mut slot_of: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
         let mut stages: Vec<DagPlanStage> = Vec::new();
         for name in topo {
@@ -1666,16 +1766,71 @@ impl DagPlan {
                 slot_of.insert(name, 0);
                 continue;
             }
-            let producers = algo.producers_of(name).iter().map(|p| slot_of[p]).collect();
-            slot_of.insert(name, stages.len() + 1);
             let (i, o) = (stage.input_size(), stage.output_size());
+            let (in_shape, out_shape) = (
+                (i.width, i.height, i.channels),
+                (o.width, o.height, o.channels),
+            );
+            let bits = stage.bits();
+            let quantizer = Quantizer::new(bits);
+            let operands: Vec<DagOperand> = algo
+                .producers_of(name)
+                .iter()
+                .map(|p| {
+                    let slot = slot_of[p];
+                    let shape = slots[slot].0;
+                    DagOperand {
+                        slot,
+                        adapt: (shape != in_shape).then(|| Resample::new(shape, in_shape)),
+                    }
+                })
+                .collect();
+            let kernel = match stage.kind() {
+                StageKind::Stencil { kernel, stride } => {
+                    DagKernel::Stencil(BoxStencil::new(in_shape, kernel, stride, out_shape))
+                }
+                // Element-wise stages combine their operands; DNN and
+                // custom stages carry no declarative arithmetic, so
+                // they act as shape adapters preserving signal content.
+                StageKind::Input
+                | StageKind::ElementWise { .. }
+                | StageKind::Dnn { .. }
+                | StageKind::Custom { .. } => {
+                    DagKernel::Resample(Resample::new(in_shape, out_shape))
+                }
+            };
+            // A single operand that the kernel only moves keeps the grid
+            // it lies on; requantizing onto an equal or finer grid would
+            // leave every value as it is.
+            let kept_grid = match (&operands[..], &kernel) {
+                ([only], DagKernel::Resample(_)) => slots[only.slot].1.filter(|&g| g <= bits),
+                _ => None,
+            };
+            let identity = operands.iter().all(|o| o.adapt.is_none())
+                && matches!(&kernel, DagKernel::Resample(r) if r.is_identity());
+            let step = match (kept_grid, identity) {
+                (Some(_), true) => {
+                    // Only stage outputs lie on a grid, so the aliased
+                    // slot is a running stage's.
+                    let aliased = operands[0].slot;
+                    slot_of.insert(name, aliased);
+                    slots.push(slots[aliased]);
+                    DagStep::Alias(aliased - 1)
+                }
+                _ => {
+                    slots.push((out_shape, kept_grid.or(Some(bits))));
+                    slot_of.insert(name, slots.len() - 1);
+                    DagStep::Run {
+                        operands,
+                        kernel,
+                        requantize: kept_grid.is_none().then_some(quantizer),
+                    }
+                }
+            };
             stages.push(DagPlanStage {
                 name: name.to_owned(),
-                kind: stage.kind(),
-                producers,
-                in_shape: (i.width, i.height, i.channels),
-                out_shape: (o.width, o.height, o.channels),
-                bits: stage.bits(),
+                out_shape,
+                step,
             });
         }
         if stages.is_empty() {
@@ -1683,66 +1838,108 @@ impl DagPlan {
         }
         let sink = stages.len() - 1;
         let mut plan = DagPlan {
-            frame_shape,
             stages,
             sink,
             references: Vec::new(),
             reference_rms: Vec::new(),
+            reference_centroid: (0.0, 0.0),
         };
-        let references = plan.execute(clean);
-        plan.reference_rms = references
-            .iter()
-            .map(|t| (t.iter().map(|v| v * v).sum::<f64>() / t.len().max(1) as f64).sqrt())
-            .collect();
+        let references = {
+            let _span = obs_core::span("functional.reference");
+            plan.execute(clean)
+        };
+        for (i, stage) in plan.stages.iter().enumerate() {
+            let rms = match stage.step {
+                DagStep::Alias(aliased) => plan.reference_rms[aliased],
+                DagStep::Run { .. } => {
+                    let t = &references[i];
+                    (t.iter().map(|v| v * v).sum::<f64>() / t.len().max(1) as f64).sqrt()
+                }
+            };
+            plan.reference_rms.push(rms);
+        }
+        let (sw, sh, _) = plan.stages[sink].out_shape;
+        plan.reference_centroid = functional::centroid(plan.output(&references, sink), sw, sh);
         plan.references = references;
         Some(plan)
     }
 
+    /// Plan stage `index`'s tensor among one pass's `outputs`.
+    fn output<'a>(&self, outputs: &'a [Vec<f64>], index: usize) -> &'a [f64] {
+        match self.stages[index].step {
+            DagStep::Alias(aliased) => &outputs[aliased],
+            DagStep::Run { .. } => &outputs[index],
+        }
+    }
+
     /// Pushes one source frame through every stage, returning the
-    /// per-stage output tensors in plan order.
+    /// per-stage output tensors in plan order (an alias stage's entry
+    /// is empty; read stage outputs through [`Self::output`]). The
+    /// adapted-operand and combined-operand buffers are reused across
+    /// stages.
     fn execute(&self, source: &[f64]) -> Vec<Vec<f64>> {
-        use camj_digital::functional::{box_stencil, elementwise_mean, resample_nearest};
         let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(self.stages.len());
+        let mut adapted: Vec<Vec<f64>> = Vec::new();
+        let mut combined: Vec<f64> = Vec::new();
         for stage in &self.stages {
-            // Gather producer tensors, shape-adapting each to the
-            // stage's declared input shape.
-            let adapted: Vec<Vec<f64>> = stage
-                .producers
-                .iter()
-                .map(|&slot| {
-                    let (tensor, shape) = if slot == 0 {
-                        (source, self.frame_shape)
+            let mut out = Vec::new();
+            if let DagStep::Run {
+                operands,
+                kernel,
+                requantize,
+            } = &stage.step
+            {
+                let tensor = |slot: usize| -> &[f64] {
+                    if slot == 0 {
+                        source
                     } else {
-                        (
-                            outputs[slot - 1].as_slice(),
-                            self.stages[slot - 1].out_shape,
-                        )
-                    };
-                    resample_nearest(tensor, shape, stage.in_shape)
-                })
-                .collect();
-            let operands: Vec<&[f64]> = adapted.iter().map(Vec::as_slice).collect();
-            // Multiple producers (and temporal element-wise operands at
-            // steady state) combine as their mean, which keeps the
-            // signal in [0, 1].
-            let combined = elementwise_mean(&operands);
-            let mut out = match stage.kind {
-                StageKind::Stencil { kernel, stride } => {
-                    box_stencil(&combined, stage.in_shape, kernel, stride, stage.out_shape)
+                        &outputs[slot - 1]
+                    }
+                };
+                if adapted.len() < operands.len() {
+                    adapted.resize_with(operands.len(), Vec::new);
                 }
-                // Element-wise stages already combined above; DNN and
-                // custom stages carry no declarative arithmetic, so
-                // they act as shape adapters preserving signal content.
-                StageKind::Input
-                | StageKind::ElementWise { .. }
-                | StageKind::Dnn { .. }
-                | StageKind::Custom { .. } => {
-                    resample_nearest(&combined, stage.in_shape, stage.out_shape)
+                for (operand, buffer) in operands.iter().zip(adapted.iter_mut()) {
+                    if let Some(adapt) = &operand.adapt {
+                        adapt.run(tensor(operand.slot), None, buffer);
+                    }
                 }
-            };
-            // Requantize at the stage's declared data resolution —
-            // the same bit width the energy side prices.
-            camj_digital::quantize::quantize_slice(&mut out, stage.bits);
+                let inputs: Vec<&[f64]> = operands
+                    .iter()
+                    .zip(&adapted)
+                    .map(|(operand, buffer)| match operand.adapt {
+                        Some(_) => buffer.as_slice(),
+                        None => tensor(operand.slot),
+                    })
+                    .collect();
+                match (&inputs[..], kernel) {
+                    // Multiple producers (and temporal element-wise
+                    // operands at steady state) combine as their mean,
+                    // which keeps the signal in [0, 1]; without a shape
+                    // change it is the whole pass.
+                    (_, DagKernel::Resample(resample))
+                        if inputs.len() > 1 && resample.is_identity() =>
+                    {
+                        camj_digital::functional::elementwise_mean(&inputs, *requantize, &mut out);
+                    }
+                    (inputs, kernel) => {
+                        let input = if let [only] = inputs {
+                            only
+                        } else {
+                            camj_digital::functional::elementwise_mean(inputs, None, &mut combined);
+                            combined.as_slice()
+                        };
+                        match kernel {
+                            DagKernel::Stencil(stencil) => {
+                                stencil.run(input, *requantize, &mut out)
+                            }
+                            DagKernel::Resample(resample) => {
+                                resample.run(input, *requantize, &mut out)
+                            }
+                        }
+                    }
+                }
+            }
             outputs.push(out);
         }
         outputs
@@ -1754,21 +1951,38 @@ impl DagPlan {
         let _span = obs_core::span("functional.dag");
         obs_core::counter("functional.stages", 0, self.stages.len() as u64);
         let outputs = self.execute(noisy);
-        let stages: Vec<DagStageSim> = outputs
+        let sink_out = self.output(&outputs, self.sink);
+        let (sw, sh, _) = self.stages[self.sink].out_shape;
+        let metrics = TaskMetrics::against(
+            sink_out,
+            self.output(&self.references, self.sink),
+            self.reference_centroid,
+            sw,
+            sh,
+        );
+        let mut errors: Vec<f64> = Vec::with_capacity(self.stages.len());
+        for (i, stage) in self.stages.iter().enumerate() {
+            let out = self.output(&outputs, i);
+            errors.push(match stage.step {
+                // An alias measures its stage's tensors again.
+                DagStep::Alias(aliased) => errors[aliased],
+                // The sink's error RMS is the metrics' RMSE: the same
+                // sum over the same tensors (an empty tensor aside).
+                DagStep::Run { .. } if i == self.sink && !out.is_empty() => metrics.rmse,
+                DagStep::Run { .. } => rms_error(out, self.output(&self.references, i)),
+            });
+        }
+        let stages: Vec<DagStageSim> = self
+            .stages
             .iter()
+            .zip(errors)
             .enumerate()
-            .map(|(i, out)| {
-                let error_rms = rms_error(out, &self.references[i]);
-                DagStageSim {
-                    stage: self.stages[i].name.clone(),
-                    error_rms,
-                    snr_db: functional::snr_db(self.reference_rms[i], error_rms),
-                }
+            .map(|(i, (stage, error_rms))| DagStageSim {
+                stage: stage.name.clone(),
+                error_rms,
+                snr_db: functional::snr_db(self.reference_rms[i], error_rms),
             })
             .collect();
-        let sink_out = &outputs[self.sink];
-        let (sw, sh, _) = self.stages[self.sink].out_shape;
-        let metrics = TaskMetrics::measure(sink_out, &self.references[self.sink], sw, sh);
         let mut h = FpHasher::new();
         h.write_str("camj.dag-digest/v1");
         for span in sink_out.chunks(FRAME_CHUNK) {
@@ -1798,6 +2012,12 @@ fn rms_error(noisy: &[f64], clean: &[f64]) -> f64 {
         .sqrt()
 }
 
+/// The per-pixel allocating stage kernels the planned ones replaced,
+/// shared with `camj_digital::functional`'s own tests.
+#[cfg(test)]
+#[path = "../../../camj-digital/src/functional/oracle.rs"]
+mod kernel_oracle;
+
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -1805,6 +2025,9 @@ mod tests {
     use camj_analog::array::AnalogArray;
     use camj_analog::components::{aps_4t, column_adc, ApsParams};
     use camj_analog::noise::NoiseSource;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use super::*;
     use crate::energy::CamJ;
@@ -1854,17 +2077,124 @@ mod tests {
         CamJ::new(algo, hw, mapping, 30.0).unwrap().into_validated()
     }
 
+    /// The per-stage DAG pass the plan replaced, kept as its oracle:
+    /// every stage resamples each producer to its declared input shape
+    /// (a copy when the shapes agree), averages the operands (one
+    /// operand included), runs its kernel, and requantizes the result
+    /// in a separate pass, allocating at every step. Returns each
+    /// non-input stage's name, output shape, and tensor, in topological
+    /// order.
+    fn oracle_dag(
+        algo: &AlgorithmGraph,
+        frame_shape: Shape,
+        source: &[f64],
+    ) -> Vec<(String, Shape, Vec<f64>)> {
+        use super::kernel_oracle::{box_stencil, elementwise_mean, resample_nearest};
+        let mut slot_of = std::collections::HashMap::new();
+        let mut outputs: Vec<(String, Shape, Vec<f64>)> = Vec::new();
+        for name in algo.topo_order().unwrap() {
+            let stage = algo.stage(name).unwrap();
+            if matches!(stage.kind(), StageKind::Input) {
+                slot_of.insert(name, 0);
+                continue;
+            }
+            let (i, o) = (stage.input_size(), stage.output_size());
+            let in_shape = (i.width, i.height, i.channels);
+            let out_shape = (o.width, o.height, o.channels);
+            let adapted: Vec<Vec<f64>> = algo
+                .producers_of(name)
+                .iter()
+                .map(|p| {
+                    let slot: usize = slot_of[p];
+                    let (tensor, shape) = if slot == 0 {
+                        (source, frame_shape)
+                    } else {
+                        (outputs[slot - 1].2.as_slice(), outputs[slot - 1].1)
+                    };
+                    resample_nearest(tensor, shape, in_shape)
+                })
+                .collect();
+            let operands: Vec<&[f64]> = adapted.iter().map(Vec::as_slice).collect();
+            let combined = elementwise_mean(&operands);
+            let mut out = match stage.kind() {
+                StageKind::Stencil { kernel, stride } => {
+                    box_stencil(&combined, in_shape, kernel, stride, out_shape)
+                }
+                _ => resample_nearest(&combined, in_shape, out_shape),
+            };
+            for value in &mut out {
+                *value = camj_digital::quantize::quantize(*value, stage.bits());
+            }
+            slot_of.insert(name, outputs.len() + 1);
+            outputs.push((name.to_owned(), out_shape, out));
+        }
+        outputs
+    }
+
+    /// The DAG report the plan replaced: each stage's RMS error against
+    /// its clean reference, task metrics and the digest of the sink.
+    fn oracle_dag_sim(
+        algo: &AlgorithmGraph,
+        frame_shape: Shape,
+        clean: &[f64],
+        noisy: &[f64],
+    ) -> Option<DagSim> {
+        let references = oracle_dag(algo, frame_shape, clean);
+        let outputs = oracle_dag(algo, frame_shape, noisy);
+        let ((sink, (sw, sh, _), sink_out), (_, _, sink_ref)) =
+            (outputs.last()?, references.last()?);
+        let stages = outputs
+            .iter()
+            .zip(&references)
+            .map(|((stage, _, out), (_, _, reference))| {
+                let error_rms = rms_error(out, reference);
+                let reference_rms = (reference.iter().map(|v| v * v).sum::<f64>()
+                    / reference.len().max(1) as f64)
+                    .sqrt();
+                DagStageSim {
+                    stage: stage.clone(),
+                    error_rms,
+                    snr_db: functional::snr_db(reference_rms, error_rms),
+                }
+            })
+            .collect();
+        let mut h = FpHasher::new();
+        h.write_str("camj.dag-digest/v1");
+        for span in sink_out.chunks(FRAME_CHUNK) {
+            h.write_f64_slice_bulk(span);
+        }
+        let (hi, lo) = h.finish().parts();
+        Some(DagSim {
+            stages,
+            sink: sink.clone(),
+            metrics: TaskMetrics::measure(sink_out, sink_ref, *sw, *sh),
+            digest: format!("{hi:016x}{lo:016x}"),
+        })
+    }
+
     /// Per-pixel scalar evaluation of one seeded frame, the oracle for
-    /// [`FramePlan::simulate`]: normals are drawn per [`FRAME_CHUNK`]
-    /// span (the sampler's stream contract), then each pixel sums its
-    /// source variances, takes the noise, clamps, quantizes, and is
-    /// measured one at a time. Only the clean frame, the DAG pass, and
-    /// the digest tail come from the plan.
+    /// [`FramePlan::simulate`]: the clean frame is rendered pixel by
+    /// pixel, normals are drawn per [`FRAME_CHUNK`] span (the sampler's
+    /// stream contract) one stage after another over the whole frame,
+    /// then each pixel sums its source variances, takes the noise,
+    /// clamps, quantizes, and is measured one at a time. The output
+    /// statistics, the frame digest, and the DAG pass
+    /// ([`oracle_dag_sim`]) are computed from the result as the
+    /// unplanned simulator did.
     fn scalar_frame(model: &ValidatedModel, seed: u64, stimulus: &Stimulus) -> FrameSimReport {
-        let plan = model.frame_plan(stimulus).unwrap();
+        let input = model
+            .algorithm()
+            .stages()
+            .iter()
+            .find(|s| matches!(s.kind(), StageKind::Input))
+            .unwrap()
+            .output_size();
+        let (width, height, channels) = (input.width, input.height, input.channels);
+        let clean = stimulus.render_per_pixel(width, height, channels);
+        let signal_rms =
+            (clean.iter().map(|v| v * v).sum::<f64>() / clean.len().max(1) as f64).sqrt();
         let exposure = model.estimate_delay().unwrap().analog_unit_time;
         let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
-        let clean = &plan.clean;
         let mut noisy = clean.clone();
         let mut stages = Vec::new();
         for (index, stage) in model
@@ -1903,38 +2233,220 @@ mod tests {
                     *value = camj_digital::quantize::quantize(*value, bits);
                 }
             }
-            let noise_rms = rms_error(&noisy, clean);
+            let noise_rms = rms_error(&noisy, &clean);
             stages.push(StageSim {
                 unit: stage.unit.clone(),
                 noise_rms,
-                snr_db: functional::snr_db(plan.signal_rms, noise_rms),
+                snr_db: functional::snr_db(signal_rms, noise_rms),
             });
         }
-        plan.finish(seed, stages, &noisy)
+        let noise_rms = stages
+            .last()
+            .map_or_else(|| rms_error(&noisy, &clean), |s| s.noise_rms);
+        let mut h = FpHasher::new();
+        h.write_str("camj.frame-digest-mc/v1");
+        h.write_f64_slice_bulk(&noisy);
+        let (hi, lo) = h.finish().parts();
+        FrameSimReport {
+            seed,
+            stimulus: stimulus.to_string(),
+            width,
+            height,
+            channels,
+            stages,
+            output: OutputStats {
+                mean: noisy.iter().sum::<f64>() / noisy.len().max(1) as f64,
+                min: noisy.iter().copied().fold(f64::INFINITY, f64::min),
+                max: noisy.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                noise_rms,
+                snr_db: functional::snr_db(signal_rms, noise_rms),
+            },
+            digest: format!("{hi:016x}{lo:016x}"),
+            dag: oracle_dag_sim(model.algorithm(), (width, height, channels), &clean, &noisy),
+        }
     }
 
     proptest! {
         /// The planned frame simulation is bit-identical to the scalar
-        /// oracle for arbitrary seeds, stimuli, noise chains, and
-        /// resolutions (up to 6400 pixels, straddling the span length).
+        /// oracle for arbitrary seeds, stimuli (flat, ramp, and images
+        /// resampled up or down), noise chains, and resolutions (up to
+        /// 6400 pixels, straddling the span length).
         #[test]
         fn planned_frame_matches_scalar_oracle(
             seed in 0u64..u64::MAX / 2,
             width in 1u32..80,
             height in 1u32..80,
             level in 0u32..11,
-            gradient in 0u32..2,
+            kind in 0u32..3,
             noise in 0u32..3,
+            image_w in 1u32..40,
+            image_h in 1u32..40,
         ) {
-            let stimulus = if gradient == 1 {
-                Stimulus::gradient(f64::from(level) / 20.0, f64::from(level) / 10.0)
-            } else {
-                Stimulus::uniform(f64::from(level) / 10.0)
+            let stimulus = match kind {
+                0 => Stimulus::uniform(f64::from(level) / 10.0),
+                1 => Stimulus::gradient(f64::from(level) / 20.0, f64::from(level) / 10.0),
+                _ => {
+                    // Few distinct levels, black included (zero-std
+                    // lanes under shot-only noise).
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    Stimulus::Image {
+                        path: "oracle.pgm".to_owned(),
+                        width: image_w,
+                        height: image_h,
+                        pixels: (0..image_w * image_h)
+                            .map(|_| f64::from(rng.random_range(0..=level)) / 10.0)
+                            .collect(),
+                    }
+                }
             };
             let model = toy_model(width, height, noise);
             let planned = model.simulate_frame(seed, &stimulus).unwrap();
             let oracle = scalar_frame(&model, seed, &stimulus);
             prop_assert_eq!(&planned, &oracle, "{width}x{height} seed {seed} noise {noise}");
         }
+
+        /// The planned DAG pass is bit-identical to the per-stage oracle
+        /// on random graphs: 1–6 stages of every kind over 1–3
+        /// producers each (mismatched producer shapes exercise the
+        /// adapters), stencils whose kernel differs from the stride and
+        /// whose windows clamp at the edges, up- and down-resampling
+        /// shape adapters on every axis, 1–3 channels, and 1–16-bit
+        /// stages (coarse-to-fine chains exercise the skipped
+        /// requantizations and aliases). Every stage tensor, every
+        /// reference tensor, and the whole report (stage errors, task
+        /// metrics, DAG digest) must agree.
+        #[test]
+        fn planned_dag_matches_per_stage_oracle(
+            frame_w in 1u32..10,
+            frame_h in 1u32..10,
+            frame_c in 1u32..4,
+            stage_count in 1usize..7,
+            graph_seed in 0u64..u64::MAX / 2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(graph_seed);
+            let dim = |rng: &mut StdRng, max: u32| rng.random_range(1..max + 1);
+            let mut algo = AlgorithmGraph::new();
+            let frame_shape = (frame_w, frame_h, frame_c);
+            algo.add_stage(Stage::input("In", [frame_w, frame_h, frame_c]));
+            let mut names = vec!["In".to_owned()];
+            let mut shapes = vec![[frame_w, frame_h, frame_c]];
+            for s in 0..stage_count {
+                let name = format!("S{s}");
+                // 1–3 distinct producers among the earlier stages.
+                let producers = dim(&mut rng, 3).min(names.len() as u32);
+                let mut picked: Vec<usize> = Vec::new();
+                while picked.len() < producers as usize {
+                    let p = rng.random_range(0..names.len());
+                    if !picked.contains(&p) {
+                        picked.push(p);
+                    }
+                }
+                let shape = |rng: &mut StdRng, max: u32| {
+                    [dim(rng, max), dim(rng, max), dim(rng, 3)]
+                };
+                // Half the stages take their first producer's shape (no
+                // adapter), and half of those keep it (an identity
+                // pass, which can alias its producer).
+                let in_shape = if rng.random_range(0..2u32) == 0 {
+                    shapes[picked[0]]
+                } else {
+                    shape(&mut rng, 9)
+                };
+                let out_shape = if rng.random_range(0..2u32) == 0 {
+                    in_shape
+                } else {
+                    shape(&mut rng, 12)
+                };
+                let stage = match rng.random_range(0..5u32) {
+                    0 | 1 => {
+                        let kernel = [dim(&mut rng, 3), dim(&mut rng, 3), dim(&mut rng, 3)];
+                        let stride = [dim(&mut rng, 3), dim(&mut rng, 3), dim(&mut rng, 2)];
+                        Stage::stencil(&name, in_shape, out_shape, kernel, stride)
+                    }
+                    2 => Stage::element_wise(&name, in_shape, 2),
+                    3 => Stage::dnn(&name, in_shape, out_shape, 1, 1),
+                    _ => Stage::custom(&name, in_shape, out_shape, 1, 1.0),
+                };
+                shapes.push({
+                    let o = stage.output_size();
+                    [o.width, o.height, o.channels]
+                });
+                algo.add_stage(stage.with_bits(dim(&mut rng, 16)));
+                for p in picked {
+                    algo.connect(&names[p], &name).unwrap();
+                }
+                names.push(name);
+            }
+            // Tensors mix continuous values with grid points and the
+            // rails, signed zero included.
+            let tensor = |rng: &mut StdRng| -> Vec<f64> {
+                (0..frame_w * frame_h * frame_c)
+                    .map(|_| match rng.random_range(0..8u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1.0,
+                        3 => f64::from(rng.random_range(0..257u32)) / 256.0,
+                        _ => rng.random_range(0.0..1.0),
+                    })
+                    .collect()
+            };
+            let clean = tensor(&mut rng);
+            let noisy = tensor(&mut rng);
+            let plan = DagPlan::build(&algo, frame_shape, &clean).unwrap();
+            let outputs = plan.execute(&noisy);
+            let oracle_outputs = oracle_dag(&algo, frame_shape, &noisy);
+            let oracle_references = oracle_dag(&algo, frame_shape, &clean);
+            let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            for (i, ((name, _, out), (_, _, reference))) in
+                oracle_outputs.iter().zip(&oracle_references).enumerate()
+            {
+                prop_assert_eq!(&plan.stages[i].name, name);
+                prop_assert_eq!(bits(plan.output(&outputs, i)), bits(out), "stage {}", name);
+                prop_assert_eq!(
+                    bits(plan.output(&plan.references, i)),
+                    bits(reference),
+                    "reference {}", name
+                );
+            }
+            let oracle = oracle_dag_sim(&algo, frame_shape, &clean, &noisy).unwrap();
+            prop_assert_eq!(plan.run(&noisy), oracle);
+        }
+    }
+
+    /// Ed-Gaze's DAG — a 2×2 binning stencil, a one-operand element-wise
+    /// stage, and an upsampling DNN, all 8-bit — plans the element-wise
+    /// stage as an alias of the stencil's output and runs the DNN as a
+    /// pure gather: its operand already lies on the 8-bit grid. A pooling
+    /// stage after the DNN reads the DNN's tensor, not the alias's.
+    #[test]
+    fn edgaze_dag_aliases_and_skips_requantization() {
+        let mut algo = AlgorithmGraph::new();
+        algo.add_stage(Stage::input("Input", [16, 10, 1]));
+        let (down, pool) = ([2, 2, 1], [3, 3, 1]);
+        algo.add_stage(Stage::stencil("Down", [16, 10, 1], [8, 5, 1], down, down));
+        algo.add_stage(Stage::element_wise("Sub", [8, 5, 1], 2));
+        algo.add_stage(Stage::dnn("Roi", [8, 5, 1], [16, 8, 1], 1, 1));
+        algo.add_stage(Stage::stencil("Pool", [16, 8, 1], [6, 3, 1], pool, pool));
+        for (from, to) in [
+            ("Input", "Down"),
+            ("Down", "Sub"),
+            ("Sub", "Roi"),
+            ("Roi", "Pool"),
+        ] {
+            algo.connect(from, to).unwrap();
+        }
+        let clean: Vec<f64> = (0..160).map(|i| f64::from(i) / 160.0).collect();
+        let noisy: Vec<f64> = clean.iter().map(|v| (v * 1.07).min(1.0)).collect();
+        let plan = DagPlan::build(&algo, (16, 10, 1), &clean).unwrap();
+        assert!(matches!(plan.stages[1].step, DagStep::Alias(0)));
+        assert!(matches!(
+            plan.stages[2].step,
+            DagStep::Run {
+                requantize: None,
+                ..
+            }
+        ));
+        let oracle = oracle_dag_sim(&algo, (16, 10, 1), &clean, &noisy).unwrap();
+        assert_eq!(plan.run(&noisy), oracle);
     }
 }

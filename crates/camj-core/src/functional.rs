@@ -37,6 +37,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use camj_analog::noise::NoiseSource;
+use camj_digital::functional::Resample;
 use camj_tech::fingerprint::FpHasher;
 use camj_tech::units::Time;
 
@@ -160,8 +161,9 @@ impl Stimulus {
     }
 
     /// The clean value of pixel `(x, y)` on a `width` × `height`
-    /// frame. Images resample nearest-neighbour — pure integer
-    /// arithmetic, so rendering is exact and thread-independent.
+    /// frame, one pixel at a time: the definition [`Self::render`] is
+    /// tested against.
+    #[cfg(test)]
     pub(crate) fn value_at(&self, x: u32, y: u32, width: u32, height: u32) -> f64 {
         match self {
             Stimulus::Uniform { level } => *level,
@@ -186,10 +188,10 @@ impl Stimulus {
         }
     }
 
-    /// Renders the clean frame: `width * height * channels` values in
-    /// the simulator's canonical order (rows, then columns, channels
-    /// interleaved).
-    pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
+    /// The per-pixel frame [`Self::render`] is tested against:
+    /// [`Self::value_at`] for every pixel, repeated per channel.
+    #[cfg(test)]
+    pub(crate) fn render_per_pixel(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
         let mut clean = Vec::with_capacity(width as usize * height as usize * channels as usize);
         for y in 0..height {
             for x in 0..width {
@@ -200,6 +202,65 @@ impl Stimulus {
             }
         }
         clean
+    }
+
+    /// Renders the clean frame: `width * height * channels` values in
+    /// the simulator's canonical order (rows, then columns, channels
+    /// interleaved). Every channel of a pixel carries the same value.
+    pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
+        self.render_with(width, height, channels, |level| level)
+    }
+
+    /// [`Self::render`] of an element-wise function of the clean level:
+    /// bit for bit, `value` applied to every element of the clean
+    /// frame. Each source level is mapped once — the one level of a
+    /// flat field, each column of a ramp, each pixel of an image — and
+    /// then laid out as the clean frame lays out levels, since mapping
+    /// commutes with moving values.
+    ///
+    /// A ramp depends on the column only, so one row is rendered and
+    /// repeated. Images resample nearest-neighbour through a planned
+    /// [`Resample`] (per-axis index maps, no per-pixel division) — pure
+    /// integer index arithmetic, so rendering is exact and
+    /// thread-independent.
+    pub(crate) fn render_with(
+        &self,
+        width: u32,
+        height: u32,
+        channels: u32,
+        value: impl Fn(f64) -> f64,
+    ) -> Vec<f64> {
+        let len = width as usize * height as usize * channels as usize;
+        match self {
+            Stimulus::Uniform { level } => vec![value(*level); len],
+            Stimulus::Gradient { low, high } => {
+                let row: Vec<f64> = (0..width)
+                    .flat_map(|x| {
+                        let level = if width <= 1 {
+                            *low
+                        } else {
+                            low + (high - low) * f64::from(x) / f64::from(width - 1)
+                        };
+                        std::iter::repeat(value(level)).take(channels as usize)
+                    })
+                    .collect();
+                row.repeat(height as usize)
+            }
+            Stimulus::Image {
+                width: iw,
+                height: ih,
+                pixels,
+                ..
+            } => {
+                let mut frame = Vec::new();
+                if len > 0 {
+                    let mapped: Vec<f64> = pixels.iter().map(|&level| value(level)).collect();
+                    Resample::new((*iw, *ih, 1), (width, height, channels))
+                        .run(&mapped, None, &mut frame);
+                }
+                frame
+            }
+        }
     }
 }
 
@@ -589,6 +650,24 @@ impl TaskMetrics {
     /// Panics if the tensors disagree in length.
     #[must_use]
     pub fn measure(output: &[f64], reference: &[f64], width: u32, height: u32) -> Self {
+        Self::against(
+            output,
+            reference,
+            centroid(reference, width, height),
+            width,
+            height,
+        )
+    }
+
+    /// [`Self::measure`] with the reference tensor's [`centroid`]
+    /// already resolved — a frame plan resolves it once for all seeds.
+    pub(crate) fn against(
+        output: &[f64],
+        reference: &[f64],
+        (rx, ry): (f64, f64),
+        width: u32,
+        height: u32,
+    ) -> Self {
         assert_eq!(output.len(), reference.len(), "tensor shapes must match");
         let n = output.len().max(1) as f64;
         let mse = output
@@ -603,7 +682,6 @@ impl TaskMetrics {
             None
         };
         let (ox, oy) = centroid(output, width, height);
-        let (rx, ry) = centroid(reference, width, height);
         let (dx, dy) = (ox - rx, oy - ry);
         Self {
             mse,
@@ -617,7 +695,7 @@ impl TaskMetrics {
 /// The intensity-weighted centroid of a tensor (channels summed per
 /// pixel), in coordinates normalised to `[0, 1]` per axis. A zero
 /// total weight (an all-black frame) centres the centroid.
-fn centroid(tensor: &[f64], width: u32, height: u32) -> (f64, f64) {
+pub(crate) fn centroid(tensor: &[f64], width: u32, height: u32) -> (f64, f64) {
     let channels = tensor.len() / (width as usize * height as usize).max(1);
     let (mut wx, mut wy, mut total) = (0.0, 0.0, 0.0);
     let mut idx = 0;
@@ -783,6 +861,42 @@ mod tests {
 
         assert!("image:".parse::<Stimulus>().is_err());
         assert!("image:/nonexistent/x.pgm".parse::<Stimulus>().is_err());
+    }
+
+    proptest::proptest! {
+        /// The planned render is bit-identical to the per-pixel one for
+        /// every stimulus kind, image size, and frame shape (up- and
+        /// down-sampling on each axis, 1–3 channels).
+        #[test]
+        fn planned_render_matches_per_pixel_oracle(
+            width in 1u32..40,
+            height in 1u32..40,
+            channels in 1u32..4,
+            iw in 1u32..40,
+            ih in 1u32..40,
+            low in 0u32..101,
+            span in 0u32..101,
+            pixel_seed in 0u64..1 << 20,
+        ) {
+            let low = f64::from(low) / 100.0;
+            let high = (low + f64::from(span) / 100.0).min(1.0);
+            let mut rng = StdRng::seed_from_u64(pixel_seed);
+            let image = Stimulus::Image {
+                path: "oracle.pgm".to_owned(),
+                width: iw,
+                height: ih,
+                pixels: (0..iw * ih).map(|_| rng.random_range(0.0..1.0)).collect(),
+            };
+            for stimulus in [Stimulus::uniform(low), Stimulus::gradient(low, high), image] {
+                let planned = stimulus.render(width, height, channels);
+                let oracle = stimulus.render_per_pixel(width, height, channels);
+                proptest::prop_assert_eq!(
+                    planned.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{} at {}x{}x{}", stimulus, width, height, channels
+                );
+            }
+        }
     }
 
     #[test]

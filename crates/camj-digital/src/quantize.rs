@@ -72,70 +72,103 @@ pub fn quantize(value: f64, bits: u32) -> f64 {
     ((value.clamp(0.0, 1.0) / step).round() * step).min(1.0)
 }
 
-/// Quantizes a whole buffer in place, bit-identical to applying
-/// [`quantize`] per element. The step (and its reciprocal) resolve
-/// once per call instead of once per pixel — `step` is an exact power
-/// of two, so `value / step` and `value * (1/step)` round identically
-/// and the per-pixel `powi` disappears from frame-simulation hot
-/// loops.
+/// The mid-tread grid of one bit width, resolved once: the step and its
+/// reciprocal, so quantizing a value costs no `powi` and no division.
+/// `step` is an exact power of two, so `value / step` and
+/// `value * (1/step)` round identically and [`Quantizer::apply`] is
+/// bit-identical to [`quantize`].
 ///
-/// # Panics
-///
-/// Same conditions as [`quantize`], for any element.
-pub fn quantize_slice(values: &mut [f64], bits: u32) {
-    assert_bits(bits);
-    let step = lsb_fraction(bits);
-    let inv_step = 1.0 / step;
-    for value in values {
-        assert!(!value.is_nan(), "cannot quantize NaN");
-        *value = ((value.clamp(0.0, 1.0) * inv_step).round() * step).min(1.0);
-    }
+/// The rounding needs no library call (targets without a rounding
+/// instruction pay one for `f64::round`): a scaled value lies in
+/// `[0, 2^32]`, where adding and removing 2^52 rounds it to the nearest
+/// integer, ties to even, and a tie that went down is moved up — half
+/// away from zero, as `round` rounds. A zero keeps its sign, as
+/// under `round`, and no result exceeds full scale, so the final clip
+/// of [`quantize`] never applies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quantizer {
+    step: f64,
+    inv_step: f64,
 }
 
-/// [`quantize_slice`], fused with a squared-error accumulation against
-/// a reference buffer (element order, plain left-to-right sum): one
-/// memory pass instead of two for simulation hot loops that measure
-/// post-quantization RMS. The quantized values are bit-identical to
-/// [`quantize_slice`]'s.
-///
-/// # Panics
-///
-/// Same conditions as [`quantize`] for any element, or when the buffer
-/// lengths differ.
-#[must_use]
-pub fn quantize_slice_sq_err(values: &mut [f64], reference: &[f64], bits: u32) -> f64 {
-    assert_bits(bits);
-    assert_eq!(values.len(), reference.len(), "buffer length mismatch");
-    let step = lsb_fraction(bits);
-    let inv_step = 1.0 / step;
-    let mut sq = 0.0;
-    for (value, r) in values.iter_mut().zip(reference) {
-        assert!(!value.is_nan(), "cannot quantize NaN");
-        *value = ((value.clamp(0.0, 1.0) * inv_step).round() * step).min(1.0);
-        let d = *value - r;
-        sq += d * d;
+impl Quantizer {
+    /// The grid of `bits` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is zero or exceeds [`MAX_QUANTIZE_BITS`].
+    #[must_use]
+    pub fn new(bits: u32) -> Self {
+        let step = lsb_fraction(bits);
+        Quantizer {
+            step,
+            inv_step: 1.0 / step,
+        }
     }
-    sq
+
+    /// [`quantize`] of `value` on this grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN.
+    #[inline]
+    #[must_use]
+    pub fn apply(self, value: f64) -> f64 {
+        assert!(!value.is_nan(), "cannot quantize NaN");
+        /// 2^52: from here up, the spacing of `f64` values is 1.
+        const INTEGER_SPACING: f64 = 4_503_599_627_370_496.0;
+        let scaled = value.clamp(0.0, 1.0) * self.inv_step;
+        let even = (scaled + INTEGER_SPACING) - INTEGER_SPACING;
+        let rounded = if scaled - even == 0.5 {
+            even + 1.0
+        } else {
+            even
+        };
+        rounded.copysign(scaled) * self.step
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The slice path is an optimization, not a new definition: every
-    /// element must come out bit-for-bit as the scalar `quantize`.
+    /// The resolved grid is an optimization, not a new definition:
+    /// every value must come out bit-for-bit as the scalar `quantize`.
     #[test]
-    fn slice_quantize_matches_scalar_bitwise() {
+    fn quantizer_matches_scalar_bitwise() {
         for bits in [1, 2, 8, 10, 12, MAX_QUANTIZE_BITS] {
             let mut values: Vec<f64> = (0..4096)
                 .map(|i| -0.1 + 1.3 * (i as f64) / 4095.0)
                 .collect();
-            values.extend([0.0, 1.0, -5.0, 7.0, 0.5 + lsb_fraction(bits) / 2.0]);
-            let mut slice = values.clone();
-            quantize_slice(&mut slice, bits);
-            for (got, v) in slice.iter().zip(&values) {
+            values.extend([0.0, -0.0, 1.0, -5.0, 7.0, f64::INFINITY, f64::NEG_INFINITY]);
+            // Every exact half-step, and its neighbours one ulp away.
+            let step = lsb_fraction(bits);
+            for k in (0..1u64 << bits.min(12)).map(|k| k as f64) {
+                let half = (k + 0.5) * step;
+                let bits = half.to_bits();
+                values.extend([
+                    half,
+                    f64::from_bits(bits - 1),
+                    f64::from_bits(bits + 1),
+                    k * step,
+                ]);
+            }
+            // Arbitrary bit patterns across and beyond the full scale.
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            for _ in 0..4096 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let v = f64::from_bits(state >> 2);
+                if !v.is_nan() {
+                    values.push(v);
+                }
+                values.push((state >> 11) as f64 / (1u64 << 53) as f64 * 1.5 - 0.25);
+            }
+            let q = Quantizer::new(bits);
+            for v in &values {
                 assert_eq!(
-                    got.to_bits(),
+                    q.apply(*v).to_bits(),
                     quantize(*v, bits).to_bits(),
                     "bits {bits}, value {v}"
                 );
@@ -168,6 +201,28 @@ mod tests {
         }
         assert_eq!(quantize(-0.3, 8), 0.0);
         assert_eq!(quantize(1.7, 8), 1.0);
+    }
+
+    /// A value already on a grid of `a` bits is a fixed point of every
+    /// grid of `b >= a` bits, bit for bit: the coarser grid's levels are
+    /// finer-grid levels, and power-of-two scaling is exact. The
+    /// functional DAG skips such requantisations.
+    #[test]
+    fn coarser_grid_values_are_fixed_points_of_finer_grids() {
+        for a in [1, 3, 8, 10, 16] {
+            let levels = 1u64 << a;
+            for k in (0..=levels).step_by((levels / 64).max(1) as usize) {
+                let v = quantize(k as f64 / levels as f64, a);
+                for b in a..=MAX_QUANTIZE_BITS {
+                    assert_eq!(
+                        Quantizer::new(b).apply(v).to_bits(),
+                        v.to_bits(),
+                        "{a} -> {b} bits, level {k}"
+                    );
+                }
+            }
+        }
+        assert_eq!(Quantizer::new(8).apply(-0.0).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -255,6 +255,7 @@ fn group_by_rebuild_prefix(
 /// candidate generation so each batch builds one model per rebuild
 /// combination instead of one per point.
 pub(crate) fn group_points(sweep: &Sweep, points: Vec<DesignPoint>) -> Vec<Vec<DesignPoint>> {
+    let _span = obs_core::span("explore.plan");
     let (order, rebuild_axes) = planned_order(sweep);
     group_by_rebuild_prefix(sweep, &order, rebuild_axes, points)
 }
@@ -270,6 +271,7 @@ impl SweepPlan {
     /// from its axis — impossible for grids built by [`Sweep::points`].
     #[must_use]
     pub fn new(sweep: &Sweep) -> Self {
+        let _span = obs_core::span("explore.plan");
         let (order, rebuild_axes) = planned_order(sweep);
         let groups = group_by_rebuild_prefix(sweep, &order, rebuild_axes, sweep.points());
         let axes = sweep.axes();

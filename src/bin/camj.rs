@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use camj_core::energy::{EstimateReport, ValidatedModel};
 use camj_core::functional::{FrameSimReport, McFrameSimReport};
@@ -149,6 +150,46 @@ OBSERVABILITY (estimate, simulate, sweep, pareto, search, serve):
         report cache stats).
 ";
 
+/// Set once the reader closes stdout (`camj … | head`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes formatted output to stdout; every command prints through
+/// [`out!`] and [`outln!`], which call this, so one writer decides
+/// what a failed write means. A reader that closes the pipe early ends
+/// the output: later writes are dropped and the command finishes
+/// quietly with its own exit code. Any other write error is fatal
+/// (exit 2).
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: could not write to stdout: {e}");
+            std::process::exit(2);
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -156,7 +197,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     if matches!(cmd.as_str(), "--help" | "-h" | "help") {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     let Some(&(name, takes_positionals, accepted)) =
@@ -481,9 +522,9 @@ fn observed(flags: &Flags, span: &'static str, run: impl FnOnce(&Flags) -> ExitC
 }
 
 fn cmd_list() -> ExitCode {
-    println!("built-in workloads (usable with `camj export <name>`):");
+    outln!("built-in workloads (usable with `camj export <name>`):");
     for b in camj_workloads::describe::builtins() {
-        println!("  {:<12} {}", b.name, b.summary);
+        outln!("  {:<12} {}", b.name, b.summary);
     }
     ExitCode::SUCCESS
 }
@@ -507,7 +548,7 @@ fn cmd_export(flags: &Flags) -> ExitCode {
         }
     };
     match &flags.out {
-        None => print!("{json}"),
+        None => out!("{json}"),
         Some(path) => {
             if let Err(e) = fs::write(path, &json) {
                 eprintln!("error: could not write {path}: {e}");
@@ -527,13 +568,13 @@ fn cmd_validate(flags: &Flags) -> ExitCode {
     for path in &flags.positional {
         match load_file(path) {
             Ok((desc, _model)) => {
-                println!("{path}: OK ({}, fps {})", desc.name, desc.fps);
+                outln!("{path}: OK ({}, fps {})", desc.name, desc.fps);
             }
             Err(reject) => {
                 failures += 1;
-                println!("{path}: FAILED");
+                outln!("{path}: FAILED");
                 for line in reject.message.lines() {
-                    println!("    {line}");
+                    outln!("    {line}");
                 }
             }
         }
@@ -608,6 +649,13 @@ fn run_request(flags: &Flags, kind: RequestKind) -> ExitCode {
         Err(reject) => return rejected(&reject),
     };
     let json = format == SweepFormat::Json;
+    // One span for rendering and writing the result, whatever the
+    // command.
+    let _span = obs_core::span(match format {
+        SweepFormat::Human => "format.human",
+        SweepFormat::Json => "format.json",
+        SweepFormat::Csv => "format.csv",
+    });
     let printed = match (&plan, &outcome) {
         (Plan::Estimate { fps }, Outcome::Estimate(report)) => {
             print_one(json, report, || print_report(&desc, *fps, report))
@@ -629,7 +677,7 @@ fn run_request(flags: &Flags, kind: RequestKind) -> ExitCode {
         if json {
             eprintln!("cache: {}", cache.stats());
         } else {
-            println!("cache: {}", cache.stats());
+            outln!("cache: {}", cache.stats());
         }
     }
     ExitCode::SUCCESS
@@ -645,7 +693,7 @@ fn print_one<T: serde::Serialize>(json: bool, report: &T, human: impl FnOnce()) 
     }
     match serde_json::to_string_pretty(report) {
         Ok(json) => {
-            println!("{json}");
+            outln!("{json}");
             true
         }
         Err(e) => {
@@ -669,8 +717,8 @@ fn print_exploration(
     let (command, panicked) = match (outcome, plan) {
         (Outcome::Sweep(results), Plan::Sweep(_)) => {
             match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(cache))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
+                SweepFormat::Json => outln!("{}", results.to_json(Some(cache))),
+                SweepFormat::Csv => out!("{}", results.to_csv()),
                 SweepFormat::Human => print_sweep(desc, results, cache),
             }
             let panicked = results
@@ -682,8 +730,8 @@ fn print_exploration(
         }
         (Outcome::Pareto(results), Plan::Pareto(_, query)) => {
             match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(cache))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
+                SweepFormat::Json => outln!("{}", results.to_json(Some(cache))),
+                SweepFormat::Csv => out!("{}", results.to_csv()),
                 SweepFormat::Human => {
                     let mut notes = String::new();
                     for pruned in results.pruned() {
@@ -709,8 +757,8 @@ fn print_exploration(
         }
         (Outcome::Search(results), Plan::Search(_, query, _)) => {
             match format {
-                SweepFormat::Json => println!("{}", results.to_json(Some(cache))),
-                SweepFormat::Csv => print!("{}", results.to_csv()),
+                SweepFormat::Json => outln!("{}", results.to_json(Some(cache))),
+                SweepFormat::Csv => out!("{}", results.to_csv()),
                 SweepFormat::Human => {
                     let termination = if results.exhaustive() {
                         "exact cartesian (grid below the exhaustive threshold)".to_owned()
@@ -766,30 +814,32 @@ fn print_sweep(
     results: &camj_explore::SweepResults<EstimateReport>,
     cache: &CacheStats,
 ) {
-    println!("== sweep: {} ({} points) ==", desc.name, results.len());
-    println!(
+    outln!("== sweep: {} ({} points) ==", desc.name, results.len());
+    outln!(
         "{:>10}  {:>16}  {:>14}",
-        "fps", "total pJ/frame", "pJ/pixel"
+        "fps",
+        "total pJ/frame",
+        "pJ/pixel"
     );
     for o in results.outcomes() {
         let fps = o.point.fps("fps");
         match &o.result {
-            Ok(r) => println!(
+            Ok(r) => outln!(
                 "{:>10}  {:>16.3}  {:>14.4}",
                 fps,
                 r.total().picojoules(),
                 r.energy_per_pixel().picojoules()
             ),
-            Err(e) => println!("{fps:>10}  infeasible: {}", e.message()),
+            Err(e) => outln!("{fps:>10}  infeasible: {}", e.message()),
         }
     }
     if let Some((point, best)) = results.min_energy() {
-        println!(
+        outln!(
             "minimum: {:.3} pJ/frame at {point}",
             best.total().picojoules()
         );
     }
-    println!("cache: {cache}");
+    outln!("cache: {cache}");
 }
 
 /// The human frontier table `pareto` and `search` share: title,
@@ -802,32 +852,32 @@ fn print_frontier(
     notes: &str,
     cache: &CacheStats,
 ) {
-    println!("{title}");
+    outln!("{title}");
     for constraint in query.constraints().constraints() {
-        println!("constraint: {constraint}");
+        outln!("constraint: {constraint}");
     }
-    print!("{:>10}", "fps");
+    out!("{:>10}", "fps");
     for key in query.objectives().iter().map(Objective::key) {
-        print!("  {key:>24}");
+        out!("  {key:>24}");
     }
-    println!();
+    outln!();
     for entry in results.frontier() {
-        print!("{:>10}", entry.point.fps("fps"));
+        out!("{:>10}", entry.point.fps("fps"));
         for value in entry.metrics.values() {
-            print!("  {value:>24.4}");
+            out!("  {value:>24.4}");
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "frontier: {} point(s); dominated: {}; pruned: {}; errors: {}",
         results.frontier().len(),
         results.dominated_count(),
         results.pruned().len(),
         results.errors().len()
     );
-    print!("{notes}");
-    println!("prune: {}", results.stats());
-    println!("cache: {cache}");
+    out!("{notes}");
+    outln!("prune: {}", results.stats());
+    outln!("cache: {cache}");
 }
 
 fn run_serve(flags: &Flags) -> ExitCode {
@@ -928,7 +978,7 @@ fn run_connected(flags: &Flags, addr: &str, path: &str, mut request: Request) ->
             FrameKind::Result => {
                 if let Some(body) = &frame.body {
                     match serde_json::to_string_pretty(body) {
-                        Ok(json) => println!("{json}"),
+                        Ok(json) => outln!("{json}"),
                         Err(e) => {
                             eprintln!("error: could not render the result: {e}");
                             failed = true;
@@ -977,30 +1027,30 @@ fn apply_threads(flags: &Flags) -> Result<(), String> {
 // ---------------------------------------------------------------------
 
 fn print_report(desc: &DesignDesc, fps: f64, report: &EstimateReport) {
-    println!("== {} @ {} FPS ==", desc.name, fps);
-    println!(
+    outln!("== {} @ {} FPS ==", desc.name, fps);
+    outln!(
         "total: {:.4} pJ/frame  ({:.4} pJ/pixel over {} input pixels)",
         report.total().picojoules(),
         report.energy_per_pixel().picojoules(),
         report.input_pixels
     );
-    println!(
+    outln!(
         "frame time: {:.4} ms = {} analog stages x {:.4} ms + {:.4} ms digital",
         report.delay.frame_time.millis(),
         report.delay.analog_stage_count,
         report.delay.analog_unit_time.millis(),
         report.delay.digital_latency.millis()
     );
-    println!("breakdown by category:");
+    outln!("breakdown by category:");
     for (category, energy) in report.breakdown.by_category() {
         if energy.joules() > 0.0 {
-            println!("  {:<7} {:>14.4} pJ", category.label(), energy.picojoules());
+            outln!("  {:<7} {:>14.4} pJ", category.label(), energy.picojoules());
         }
     }
-    println!("breakdown by unit:");
+    outln!("breakdown by unit:");
     for item in report.breakdown.items() {
         let stage = item.stage.as_deref().unwrap_or("-");
-        println!(
+        outln!(
             "  {:<24} {:<7} stage={:<16} {:>14.4} pJ",
             item.unit,
             item.category.label(),
@@ -1009,7 +1059,7 @@ fn print_report(desc: &DesignDesc, fps: f64, report: &EstimateReport) {
         );
     }
     for layer in &report.layers {
-        println!(
+        outln!(
             "layer {:?}: {:.4} mW over {:.4} mm2{}",
             layer.layer,
             layer.power.milliwatts(),
@@ -1023,7 +1073,7 @@ fn print_report(desc: &DesignDesc, fps: f64, report: &EstimateReport) {
 
 /// The human `simulate --samples N` report (N > 1).
 fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
-    println!(
+    outln!(
         "== simulate: {} @ {} FPS ({} seeds {}.., stimulus {}) ==",
         desc.name,
         fps,
@@ -1031,13 +1081,13 @@ fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
         mc.seeds[0],
         mc.stimulus
     );
-    println!("frame: {}x{}x{} pixels", mc.width, mc.height, mc.channels);
+    outln!("frame: {}x{}x{} pixels", mc.width, mc.height, mc.channels);
     if mc.stages.is_empty() {
-        println!("analog chain: no stages (nothing to simulate)");
+        outln!("analog chain: no stages (nothing to simulate)");
     } else {
-        println!("{:<24} {:>22} {:>18}", "stage", "noise rms (FS)", "SNR dB");
+        outln!("{:<24} {:>22} {:>18}", "stage", "noise rms (FS)", "SNR dB");
         for stage in &mc.stages {
-            println!(
+            outln!(
                 "{:<24} {:>14.6} ±{:.1e} {:>18}",
                 stage.unit,
                 stage.noise_rms_mean,
@@ -1049,7 +1099,7 @@ fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
             );
         }
     }
-    println!(
+    outln!(
         "output: mean {:.6}, noise rms {:.6} ±{:.1e}{}",
         mc.output.mean,
         mc.output.noise_rms_mean,
@@ -1060,12 +1110,15 @@ fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
         )),
     );
     if let Some(dag) = &mc.dag {
-        println!(
+        outln!(
             "digital DAG (sink {}): {:<12} {:>20} {:>18}",
-            dag.sink, "stage", "error rms (FS)", "SNR dB"
+            dag.sink,
+            "stage",
+            "error rms (FS)",
+            "SNR dB"
         );
         for stage in &dag.stages {
-            println!(
+            outln!(
                 "  {:<36} {:>12.6} ±{:.1e} {:>18}",
                 stage.stage,
                 stage.error_rms_mean,
@@ -1076,7 +1129,7 @@ fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
                 ),
             );
         }
-        println!(
+        outln!(
             "task: mse {:.6e} ±{:.1e}, rmse {:.6} ±{:.1e}, psnr {}, centroid err {:.6} ±{:.1e}",
             dag.metrics.mse_mean,
             dag.metrics.mse_std,
@@ -1089,27 +1142,32 @@ fn print_frames(desc: &DesignDesc, fps: f64, mc: &McFrameSimReport) {
             dag.metrics.centroid_err_mean,
             dag.metrics.centroid_err_std,
         );
-        println!("dag digest: {}", dag.digests[0]);
+        outln!("dag digest: {}", dag.digests[0]);
     }
-    println!("digest: {}", mc.digests[0]);
+    outln!("digest: {}", mc.digests[0]);
 }
 
 /// The human one-frame `simulate` report.
 fn print_frame(desc: &DesignDesc, fps: f64, report: &FrameSimReport) {
-    println!(
+    outln!(
         "== simulate: {} @ {} FPS (seed {}, stimulus {}) ==",
-        desc.name, fps, report.seed, report.stimulus
+        desc.name,
+        fps,
+        report.seed,
+        report.stimulus
     );
-    println!(
+    outln!(
         "frame: {}x{}x{} pixels",
-        report.width, report.height, report.channels
+        report.width,
+        report.height,
+        report.channels
     );
     if report.stages.is_empty() {
-        println!("analog chain: no stages (nothing to simulate)");
+        outln!("analog chain: no stages (nothing to simulate)");
     } else {
-        println!("{:<24} {:>16} {:>12}", "stage", "noise rms (FS)", "SNR dB");
+        outln!("{:<24} {:>16} {:>12}", "stage", "noise rms (FS)", "SNR dB");
         for stage in &report.stages {
-            println!(
+            outln!(
                 "{:<24} {:>16.6} {:>12}",
                 stage.unit,
                 stage.noise_rms,
@@ -1119,7 +1177,7 @@ fn print_frame(desc: &DesignDesc, fps: f64, report: &FrameSimReport) {
             );
         }
     }
-    println!(
+    outln!(
         "output: mean {:.6}, range [{:.6}, {:.6}], noise rms {:.6}{}",
         report.output.mean,
         report.output.min,
@@ -1131,12 +1189,15 @@ fn print_frame(desc: &DesignDesc, fps: f64, report: &FrameSimReport) {
             .map_or_else(String::new, |db| format!(", SNR {db:.2} dB")),
     );
     if let Some(dag) = &report.dag {
-        println!(
+        outln!(
             "digital DAG (sink {}): {:<12} {:>16} {:>12}",
-            dag.sink, "stage", "error rms (FS)", "SNR dB"
+            dag.sink,
+            "stage",
+            "error rms (FS)",
+            "SNR dB"
         );
         for stage in &dag.stages {
-            println!(
+            outln!(
                 "  {:<36} {:>16.6} {:>12}",
                 stage.stage,
                 stage.error_rms,
@@ -1145,7 +1206,7 @@ fn print_frame(desc: &DesignDesc, fps: f64, report: &FrameSimReport) {
                     .map_or_else(|| "-".to_owned(), |db| format!("{db:.2}")),
             );
         }
-        println!(
+        outln!(
             "task: mse {:.6e}, rmse {:.6}, psnr {}, centroid err {:.6}",
             dag.metrics.mse,
             dag.metrics.rmse,
@@ -1154,7 +1215,7 @@ fn print_frame(desc: &DesignDesc, fps: f64, report: &FrameSimReport) {
                 .map_or_else(|| "-".to_owned(), |db| format!("{db:.2} dB")),
             dag.metrics.centroid_err,
         );
-        println!("dag digest: {}", dag.digest);
+        outln!("dag digest: {}", dag.digest);
     }
-    println!("digest: {}", report.digest);
+    outln!("digest: {}", report.digest);
 }

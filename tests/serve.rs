@@ -788,6 +788,54 @@ fn connected_pareto_matches_the_local_golden() {
     daemon.shutdown();
 }
 
+/// `camj simulate --json` answers byte for byte the same over
+/// `--connect` as locally: the bundled Ed-Gaze image stimulus with the
+/// digital DAG, for one seed and for a 4-seed Monte-Carlo batch. The
+/// one exception is the stimulus label, which names the image by the
+/// path each side resolved: the CLI joins it to the description's
+/// directory, the daemon to its working directory.
+#[test]
+fn connected_simulate_matches_the_local_run() {
+    let _cpu = shared_cpu();
+    // The daemon resolves the inline design's relative stimulus path
+    // against its own working directory.
+    let daemon = Daemon::spawn_in("descriptions", &["--workers", "1"], &[]);
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_camj"))
+            .args(["simulate", "--design", "descriptions/edgaze.json", "--json"])
+            .args(["--seed", "42"])
+            .args(extra)
+            .output()
+            .expect("camj runs");
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    for samples in [&[][..], &["--samples", "4"][..]] {
+        let local = String::from_utf8(run(samples)).unwrap();
+        let connected =
+            String::from_utf8(run(&[samples, &["--connect", &daemon.addr][..]].concat())).unwrap();
+        let label = |path: &str| format!("\"stimulus\": \"image:{path}\",\n");
+        assert_eq!(
+            local.matches(&label("descriptions/edgaze_eye.pgm")).count(),
+            1
+        );
+        assert_eq!(
+            connected.replacen(
+                &label("edgaze_eye.pgm"),
+                &label("descriptions/edgaze_eye.pgm"),
+                1
+            ),
+            local,
+            "{samples:?}"
+        );
+    }
+    daemon.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Connection lifecycle
 // ---------------------------------------------------------------------
