@@ -1,7 +1,11 @@
 //! The component-level energy breakdown — CamJ's primary output.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
+use serde::de::DeError;
+use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
 
 use camj_tech::units::Energy;
@@ -27,9 +31,16 @@ pub struct EnergyItem {
 }
 
 /// A full per-frame energy breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Items are held as an ordered sequence of *runs*. The energy stage
+/// appends each kernel's output as one run, and a run replayed from an
+/// [`EstimateCache`](super::EstimateCache) is the cache's own shared
+/// allocation: a cache hit costs a reference count, not a copy of its
+/// items. Runs are a storage detail only — equality, serialization and
+/// every aggregate see the flat item sequence.
+#[derive(Clone, Default)]
 pub struct EnergyBreakdown {
-    items: Vec<EnergyItem>,
+    runs: Vec<Arc<Vec<EnergyItem>>>,
 }
 
 impl EnergyBreakdown {
@@ -41,26 +52,36 @@ impl EnergyBreakdown {
 
     /// Appends an item.
     pub fn push(&mut self, item: EnergyItem) {
-        self.items.push(item);
+        match self.runs.last_mut().and_then(Arc::get_mut) {
+            Some(run) => run.push(item),
+            None => self.runs.push(Arc::new(vec![item])),
+        }
+    }
+
+    /// Appends a run of items without copying them: the breakdown
+    /// keeps a reference to `run`, which may be shared (a cached kernel
+    /// output, for instance).
+    pub fn push_shared(&mut self, run: Arc<Vec<EnergyItem>>) {
+        if !run.is_empty() {
+            self.runs.push(run);
+        }
     }
 
     /// All items, in insertion order.
-    #[must_use]
-    pub fn items(&self) -> &[EnergyItem] {
-        &self.items
+    pub fn items(&self) -> impl Iterator<Item = &EnergyItem> + Clone + '_ {
+        self.runs.iter().flat_map(|run| run.iter())
     }
 
     /// Total per-frame energy.
     #[must_use]
     pub fn total(&self) -> Energy {
-        self.items.iter().map(|i| i.energy).sum()
+        self.items().map(|i| i.energy).sum()
     }
 
     /// Total energy of one category.
     #[must_use]
     pub fn category_total(&self, category: EnergyCategory) -> Energy {
-        self.items
-            .iter()
+        self.items()
             .filter(|i| i.category == category)
             .map(|i| i.energy)
             .sum()
@@ -81,7 +102,7 @@ impl EnergyBreakdown {
     #[must_use]
     pub fn by_stage(&self) -> BTreeMap<Option<String>, Energy> {
         let mut out: BTreeMap<Option<String>, Energy> = BTreeMap::new();
-        for item in &self.items {
+        for item in self.items() {
             let slot = out.entry(item.stage.clone()).or_insert(Energy::ZERO);
             *slot += item.energy;
         }
@@ -91,8 +112,7 @@ impl EnergyBreakdown {
     /// Total energy dissipated on one physical layer.
     #[must_use]
     pub fn layer_total(&self, layer: Layer) -> Energy {
-        self.items
-            .iter()
+        self.items()
             .filter(|i| i.layer == layer)
             .map(|i| i.energy)
             .sum()
@@ -107,7 +127,51 @@ impl EnergyBreakdown {
 
     /// Merges another breakdown into this one.
     pub fn extend(&mut self, other: EnergyBreakdown) {
-        self.items.extend(other.items);
+        self.runs.extend(other.runs);
+    }
+}
+
+impl PartialEq for EnergyBreakdown {
+    fn eq(&self, other: &Self) -> bool {
+        self.items().eq(other.items())
+    }
+}
+
+impl fmt::Debug for EnergyBreakdown {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EnergyBreakdown")
+            .field("items", &self.items().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// The flat wire form, `{"items":[…]}` — what deserialization reads.
+#[derive(Deserialize)]
+struct FlatBreakdown {
+    items: Vec<EnergyItem>,
+}
+
+impl Serialize for EnergyBreakdown {
+    fn to_value(&self) -> Value {
+        let mut map = Map::new();
+        map.insert_field(
+            "items",
+            Value::Array(self.items().map(Serialize::to_value).collect()),
+        );
+        Value::Object(map)
+    }
+}
+
+impl<'de> Deserialize<'de> for EnergyBreakdown {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let flat = FlatBreakdown::from_value(v)?;
+        Ok(Self {
+            runs: vec![Arc::new(flat.items)],
+        })
+    }
+
+    fn known_fields() -> Option<Vec<&'static str>> {
+        FlatBreakdown::known_fields()
     }
 }
 
@@ -200,6 +264,53 @@ mod tests {
     fn per_pixel_divides() {
         let b = sample();
         assert!((b.per_pixel(100).picojoules() - 2.0).abs() < 1e-9);
+    }
+
+    /// A breakdown assembled from shared runs (as cache hits book
+    /// them) is the flat breakdown in every observable way, and holds
+    /// the runs without copying them.
+    #[test]
+    fn shared_runs_match_the_flat_breakdown() {
+        let flat = sample();
+        let items: Vec<EnergyItem> = flat.items().cloned().collect();
+        let head = Arc::new(items[..1].to_vec());
+        let middle = Arc::new(items[1..3].to_vec());
+        let mut shared = EnergyBreakdown::new();
+        shared.push_shared(Arc::clone(&head));
+        shared.push_shared(Arc::new(Vec::new()));
+        shared.push_shared(Arc::clone(&middle));
+        shared.push(items[3].clone());
+        // Held, not copied; and a later push never grows a shared run.
+        assert_eq!(Arc::strong_count(&head), 2);
+        assert_eq!(middle.len(), 2);
+
+        assert!(shared.items().eq(flat.items()));
+        assert_eq!(shared, flat);
+        let bits = |b: &EnergyBreakdown| {
+            let mut v = vec![b.total().joules().to_bits()];
+            v.extend(
+                EnergyCategory::ALL
+                    .iter()
+                    .map(|&c| b.category_total(c).joules().to_bits()),
+            );
+            v.extend(
+                [Layer::Sensor, Layer::Compute, Layer::OffChip]
+                    .iter()
+                    .map(|&l| b.layer_total(l).joules().to_bits()),
+            );
+            v
+        };
+        assert_eq!(bits(&shared), bits(&flat));
+        assert_eq!(shared.by_stage(), flat.by_stage());
+
+        let json = serde_json::to_string(&shared).unwrap();
+        assert_eq!(json, serde_json::to_string(&flat).unwrap());
+        assert!(json.starts_with(r#"{"items":[{"unit":"px","#), "{json}");
+        let back: EnergyBreakdown = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, flat);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // Like the derived form, the wire form admits no other keys.
+        assert!(serde_json::from_str::<EnergyBreakdown>(r#"{"items":[],"extra":1}"#).is_err());
     }
 
     #[test]

@@ -683,7 +683,7 @@ mod tests {
 
         let report = |stages: usize, buffers: usize| {
             Ok(ElasticSim {
-                report: Some(SimReport {
+                report: Some(Arc::new(SimReport {
                     total_cycles: 1,
                     stages: (0..stages)
                         .map(|i| StageStats {
@@ -700,7 +700,7 @@ mod tests {
                             peak_occupancy: 1.0,
                         })
                         .collect(),
-                }),
+                })),
                 digital_latency: Time::from_secs(1e-3),
             })
         };

@@ -106,14 +106,32 @@ impl KernelKind {
 /// `H(kind tag, key domain, invariant digest, per-point input)` — the
 /// only definition of the energy key scheme.
 fn kernel_key(kind: KernelKind, invariant: Fingerprint, point: Option<Time>) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag(kind.tag());
-    h.write_str(KERNEL_KEY_DOMAIN);
-    let (hi, lo) = invariant.parts();
-    h.write_u64(hi);
-    h.write_u64(lo);
-    point.feed(&mut h);
-    h.finish()
+    KeyPrefix::new(kind, invariant).finish(point)
+}
+
+/// A kernel key with its invariant half already hashed, kept in the
+/// plan so that keying a point hashes only the point's own input.
+#[derive(Debug, Clone)]
+struct KeyPrefix(FpHasher);
+
+impl KeyPrefix {
+    /// Hashes `H(kind tag, key domain, invariant digest, …`.
+    fn new(kind: KernelKind, invariant: Fingerprint) -> Self {
+        let mut h = FpHasher::new();
+        h.write_tag(kind.tag());
+        h.write_str(KERNEL_KEY_DOMAIN);
+        let (hi, lo) = invariant.parts();
+        h.write_u64(hi);
+        h.write_u64(lo);
+        Self(h)
+    }
+
+    /// Completes the key with the per-point input.
+    fn finish(&self, point: Option<Time>) -> Fingerprint {
+        let mut h = self.0.clone();
+        point.feed(&mut h);
+        h.finish()
+    }
 }
 
 /// A resolved energy computation: a pure function of its plan inputs
@@ -174,13 +192,9 @@ impl KernelPlan {
     /// equal keys guarantee bit-identical kernel output.
     pub(crate) fn key(&self, kind: KernelKind, delay: &DelayEstimate) -> Fingerprint {
         match kind {
-            KernelKind::Analog => {
-                kernel_key(kind, self.analog.digest, Some(delay.analog_unit_time))
-            }
+            KernelKind::Analog => self.analog.key.finish(Some(delay.analog_unit_time)),
             KernelKind::DigitalCompute => self.digital_compute.key,
-            KernelKind::DigitalMemory => {
-                kernel_key(kind, self.digital_memory.digest, Some(delay.frame_time))
-            }
+            KernelKind::DigitalMemory => self.digital_memory.key.finish(Some(delay.frame_time)),
             KernelKind::Interface => self.interface.key,
         }
     }
@@ -231,9 +245,9 @@ impl KernelPlan {
 struct AnalogInputs {
     accesses: BTreeMap<String, f64>,
     attribution: BTreeMap<String, String>,
-    /// Digest of every unit `compute` books: its parameters, access
-    /// count, and attribution.
-    digest: Fingerprint,
+    /// The kernel's key over the digest of every unit `compute` books:
+    /// its parameters, access count, and attribution.
+    key: KeyPrefix,
 }
 
 impl AnalogInputs {
@@ -303,7 +317,7 @@ impl AnalogInputs {
         Self {
             accesses,
             attribution,
-            digest: h.finish(),
+            key: KeyPrefix::new(KernelKind::Analog, h.finish()),
         }
     }
 }
@@ -506,8 +520,9 @@ struct MemoryInputs {
     traffic: BTreeMap<String, (f64, f64)>,
     /// Per-memory consuming stage, from the first route through it.
     attribution: BTreeMap<String, Option<String>>,
-    /// Digest of every memory's parameters, traffic, and attribution.
-    digest: Fingerprint,
+    /// The kernel's key over the digest of every memory's parameters,
+    /// traffic, and attribution.
+    key: KeyPrefix,
 }
 
 impl MemoryInputs {
@@ -558,7 +573,7 @@ impl MemoryInputs {
         Self {
             traffic,
             attribution,
-            digest: h.finish(),
+            key: KeyPrefix::new(KernelKind::DigitalMemory, h.finish()),
         }
     }
 }
@@ -873,6 +888,28 @@ mod tests {
             }
         }
         grids
+    }
+
+    /// A key finished from a stored prefix is the key hashed in one go
+    /// — the persisted keys of a disk tier do not move.
+    #[test]
+    fn key_prefix_matches_the_one_shot_key() {
+        for kind in KernelKind::ALL {
+            for (invariant, point) in [
+                (("a", 1u32).fingerprint(), Some(Time::from_secs(1e-3))),
+                (("b", 2u32).fingerprint(), Some(Time::from_secs(0.25))),
+                (("c", 3u32).fingerprint(), None),
+            ] {
+                let mut h = FpHasher::new();
+                h.write_tag(kind.tag());
+                h.write_str(KERNEL_KEY_DOMAIN);
+                let (hi, lo) = invariant.parts();
+                h.write_u64(hi);
+                h.write_u64(lo);
+                point.feed(&mut h);
+                assert_eq!(KeyPrefix::new(kind, invariant).finish(point), h.finish());
+            }
+        }
     }
 
     /// Two-level keys partition kernel invocations exactly like the

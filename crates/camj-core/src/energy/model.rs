@@ -3,6 +3,8 @@
 //! [`pipeline`](super::pipeline) (paper Eq. 1: `E_frame = E_a + E_d +
 //! E_c`).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use camj_digital::sim::SimReport;
@@ -42,8 +44,9 @@ pub struct EstimateReport {
     pub breakdown: EnergyBreakdown,
     /// Frame timing split (Sec. 4.1).
     pub delay: DelayEstimate,
-    /// Cycle-level simulation statistics (absent for all-analog designs).
-    pub sim: Option<SimReport>,
+    /// Cycle-level simulation statistics (absent for all-analog
+    /// designs), shared with the elastic simulation they came from.
+    pub sim: Option<Arc<SimReport>>,
     /// Per-layer power and density (Sec. 6.2).
     pub layers: Vec<LayerPower>,
     /// Pixel count of the sensor's input stage(s), for per-pixel metrics.

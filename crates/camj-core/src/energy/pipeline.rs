@@ -159,8 +159,9 @@ const FUNCTIONAL_FINGERPRINT_DOMAIN: &str = "camj.functional/v1";
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticSim {
     /// Simulation statistics (`None` for all-analog designs, which have
-    /// nothing to simulate).
-    pub report: Option<SimReport>,
+    /// nothing to simulate), shared with every report estimated from
+    /// this simulation.
+    pub report: Option<Arc<SimReport>>,
     /// Digital latency `T_D` at the hardware's digital clock.
     pub digital_latency: Time,
 }
@@ -227,12 +228,14 @@ fn lock_stall(stall: &Mutex<StallCache>) -> std::sync::MutexGuard<'_, StallCache
 /// models whose fingerprinted inputs coincide.
 #[derive(Debug)]
 pub struct ValidatedModel {
-    algo: AlgorithmGraph,
-    hw: HardwareDesc,
-    mapping: Mapping,
+    // The validated design is immutable once built: every clone shares
+    // one copy, so a clone costs reference counts, not a deep copy.
+    algo: Arc<AlgorithmGraph>,
+    hw: Arc<HardwareDesc>,
+    mapping: Arc<Mapping>,
     fps: f64,
-    stimulus: Stimulus,
-    routes: Vec<Route>,
+    stimulus: Arc<Stimulus>,
+    routes: Arc<Vec<Route>>,
     elastic: OnceLock<Arc<Result<ElasticSim, CamjError>>>,
     sim_fp: OnceLock<Fingerprint>,
     /// The FPS-invariant energy-stage state, resolved once the elastic
@@ -247,12 +250,12 @@ pub struct ValidatedModel {
 impl Clone for ValidatedModel {
     fn clone(&self) -> Self {
         Self {
-            algo: self.algo.clone(),
-            hw: self.hw.clone(),
-            mapping: self.mapping.clone(),
+            algo: Arc::clone(&self.algo),
+            hw: Arc::clone(&self.hw),
+            mapping: Arc::clone(&self.mapping),
             fps: self.fps,
-            stimulus: self.stimulus.clone(),
-            routes: self.routes.clone(),
+            stimulus: Arc::clone(&self.stimulus),
+            routes: Arc::clone(&self.routes),
             elastic: self.elastic.clone(),
             sim_fp: self.sim_fp.clone(),
             plan: Arc::clone(&self.plan),
@@ -292,12 +295,12 @@ impl ValidatedModel {
             routes(&algo, &hw, &mapping)?
         };
         Ok(Self {
-            algo,
-            hw,
-            mapping,
+            algo: Arc::new(algo),
+            hw: Arc::new(hw),
+            mapping: Arc::new(mapping),
             fps,
-            stimulus: Stimulus::default(),
-            routes,
+            stimulus: Arc::default(),
+            routes: Arc::new(routes),
             elastic: OnceLock::new(),
             sim_fp: OnceLock::new(),
             plan: Arc::default(),
@@ -378,7 +381,7 @@ impl ValidatedModel {
     /// [`Self::simulate_frames`] are unaffected.
     #[must_use]
     pub fn with_stimulus(mut self, stimulus: Stimulus) -> Self {
-        self.stimulus = stimulus;
+        self.stimulus = Arc::new(stimulus);
         self
     }
 
@@ -473,7 +476,7 @@ impl ValidatedModel {
         let elastic = self.simulate()?;
         let plan = self
             .plan
-            .get_or_init(|| KernelPlan::new(self, elastic.report.as_ref()));
+            .get_or_init(|| KernelPlan::new(self, elastic.report.as_deref()));
         Ok((elastic, plan))
     }
 
@@ -492,7 +495,7 @@ impl ValidatedModel {
         let report = sim.run(MAX_SIM_CYCLES)?;
         let digital_latency = report.digital_latency(self.hw.digital_clock_hz());
         Ok(ElasticSim {
-            report: Some(report),
+            report: Some(Arc::new(report)),
             digital_latency,
         })
     }
@@ -644,10 +647,7 @@ impl ValidatedModel {
             };
             match &self.cache {
                 Some(cache) => {
-                    let items = cache.energy_or(plan.key(kind, delay), instrumented);
-                    for item in items.iter() {
-                        breakdown.push(item.clone());
-                    }
+                    breakdown.push_shared(cache.energy_or(plan.key(kind, delay), instrumented));
                 }
                 None => {
                     for item in instrumented() {
@@ -988,7 +988,7 @@ impl ValidatedModel {
                 }
             }
         }
-        for route in &self.routes {
+        for route in self.routes.iter() {
             for hop in &route.path {
                 push(&self.hw, hop, &mut units);
             }
@@ -1267,7 +1267,7 @@ impl ValidatedModel {
                 None => h.write_bool(false),
             }
         }
-        match &self.stimulus {
+        match &*self.stimulus {
             Stimulus::Uniform { level } => {
                 h.write_tag(1);
                 h.write_f64(*level);

@@ -465,7 +465,8 @@ impl Explorer {
         self.run_groups(
             SweepPlan::new(sweep).into_groups(),
             cache,
-            build,
+            &build,
+            &build,
             warm,
             eval,
         )
@@ -473,17 +474,22 @@ impl Explorer {
 
     /// Like [`Self::run_grouped`], over pre-formed model-sharing groups
     /// (see [`crate::plan::group_points`]) — the evaluation engine
-    /// adaptive search feeds its candidate batches through.
-    pub(crate) fn run_groups<R, F, W, E>(
+    /// adaptive search feeds its candidate batches through. `model_for`
+    /// supplies each group's model from its representative point (a
+    /// plain build, or adaptive search's memo); the per-point fallback
+    /// after a failed representative always calls `build`.
+    pub(crate) fn run_groups<R, M, F, W, E>(
         &self,
         groups: Vec<Vec<DesignPoint>>,
         cache: &Arc<EstimateCache>,
+        model_for: M,
         build: F,
         warm: W,
         eval: E,
     ) -> SweepResults<R>
     where
         R: Send,
+        M: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
         W: Fn(&ValidatedModel, &[DesignPoint]) + Sync,
         E: Fn(&ValidatedModel, &DesignPoint) -> Result<R, PointError> + Sync,
@@ -502,7 +508,7 @@ impl Explorer {
             // build, the warm-up, and every point of the group.
             let _span = obs_core::span("explore.group");
             let representative = &points[0];
-            let built = catch_unwind(AssertUnwindSafe(|| build(representative)));
+            let built = catch_unwind(AssertUnwindSafe(|| model_for(representative)));
             match built {
                 Ok(Ok(model)) => {
                     let model = model.with_cache(Arc::clone(cache));

@@ -165,7 +165,6 @@ impl Objective {
             Objective::StageEnergy(stage) => report
                 .breakdown
                 .items()
-                .iter()
                 .filter(|i| i.stage.as_deref() == Some(stage.as_str()))
                 .map(|i| i.energy.picojoules())
                 .sum(),

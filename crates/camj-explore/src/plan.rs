@@ -24,7 +24,10 @@
 //!
 //! [`ValidatedModel`]: camj_core::energy::ValidatedModel
 
+use std::collections::HashMap;
 use std::fmt;
+
+use camj_digital::memory::MemoryKind;
 
 use crate::axis::AxisValue;
 use crate::sweep::{DesignPoint, Sweep};
@@ -166,6 +169,51 @@ fn coord_eq(a: &AxisValue, b: &AxisValue) -> bool {
     }
 }
 
+/// A hashable projection of a coordinate: coordinates equal under
+/// [`coord_eq`] project equally (the converse is checked separately).
+#[derive(PartialEq, Eq, Hash)]
+enum CoordBucket<'a> {
+    U32(u32),
+    F64(u64),
+    Node(u64),
+    Memory(MemoryKind),
+    Text(&'a str),
+}
+
+impl<'a> CoordBucket<'a> {
+    fn of(value: &'a AxisValue) -> Self {
+        match value {
+            AxisValue::U32(v) => Self::U32(*v),
+            AxisValue::F64(v) => Self::F64(v.to_bits()),
+            // `+ 0.0` folds -0 into +0, which `ProcessNode`'s
+            // `PartialEq` treats as equal.
+            AxisValue::Node(n) => Self::Node((n.nanometers() + 0.0).to_bits()),
+            AxisValue::Memory(m) => Self::Memory(*m),
+            AxisValue::Text(t) => Self::Text(t),
+        }
+    }
+}
+
+/// For each value of an axis, the index of the first value identical to
+/// it under [`coord_eq`] — linear in the axis length.
+fn canonical_indices(values: &[AxisValue]) -> Vec<usize> {
+    let mut seen: HashMap<CoordBucket<'_>, Vec<usize>> = HashMap::with_capacity(values.len());
+    values
+        .iter()
+        .enumerate()
+        .map(|(j, value)| {
+            let bucket = seen.entry(CoordBucket::of(value)).or_default();
+            match bucket.iter().find(|&&k| coord_eq(&values[k], value)) {
+                Some(&k) => k,
+                None => {
+                    bucket.push(j);
+                    j
+                }
+            }
+        })
+        .collect()
+}
+
 /// An evaluation plan for a sweep: the grid re-ordered for maximal
 /// artifact reuse and partitioned into model-sharing groups.
 #[derive(Debug, Clone)]
@@ -203,49 +251,102 @@ fn planned_order(sweep: &Sweep) -> (Vec<usize>, usize) {
     (order, rebuild_axes)
 }
 
-/// Keys `points` by their value indices along `order`, sorts into
-/// evaluation order, and partitions into groups sharing every
-/// rebuild-axis coordinate. The grouping engine behind [`SweepPlan`]
-/// and [`group_points`].
-fn group_by_rebuild_prefix(
-    sweep: &Sweep,
-    order: &[usize],
-    rebuild_axes: usize,
-    points: Vec<DesignPoint>,
-) -> Vec<Vec<DesignPoint>> {
-    let axes = sweep.axes();
-    let mut keyed: Vec<(Vec<usize>, DesignPoint)> = points
-        .into_iter()
-        .map(|point| {
-            let key = order
-                .iter()
-                .map(|&i| {
-                    let axis = &axes[i];
-                    let value = point
-                        .get(axis.name())
-                        .expect("grid points carry every axis");
-                    axis.values()
-                        .iter()
-                        .position(|v| coord_eq(v, value))
-                        .expect("coordinate comes from the axis value list")
-                })
-                .collect::<Vec<usize>>();
-            (key, point)
-        })
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+/// The planner's index arithmetic: maps a grid index straight to its
+/// evaluation key, with no coordinate lookups.
+///
+/// A point's key is its per-axis value indices read in planned axis
+/// order, packed as one mixed-radix number (so numeric order is the
+/// lexicographic order of the index tuple). A value index is first
+/// replaced by the index of the first identical value on its axis, so
+/// points whose coordinates coincide key identically even when an axis
+/// lists a value twice.
+#[derive(Debug)]
+pub(crate) struct GridKeys {
+    /// One digit per axis, in planned order.
+    digits: Vec<KeyDigit>,
+    /// Product of the tail (non-rebuild) axis lengths: a key divided by
+    /// it is the point's rebuild-prefix key.
+    tail_span: usize,
+}
 
-    let mut groups: Vec<Vec<DesignPoint>> = Vec::new();
-    let mut current_prefix: Option<Vec<usize>> = None;
-    for (key, point) in keyed {
-        let prefix = key[..rebuild_axes].to_vec();
-        if current_prefix.as_ref() != Some(&prefix) {
-            groups.push(Vec::new());
-            current_prefix = Some(prefix);
+/// One axis's place in the packed key.
+#[derive(Debug)]
+struct KeyDigit {
+    /// Row-major stride of the axis's value index in a grid index.
+    stride: usize,
+    /// Number of values on the axis.
+    len: usize,
+    /// The digit's weight in the packed key.
+    weight: usize,
+    /// Value index → index of the first identical value.
+    canonical: Vec<usize>,
+}
+
+impl GridKeys {
+    /// Key arithmetic for `sweep` under `order` (see [`planned_order`]).
+    fn new(sweep: &Sweep, order: &[usize], rebuild_axes: usize) -> Self {
+        let axes = sweep.axes();
+        let mut strides = vec![1usize; axes.len()];
+        for i in (0..axes.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * axes[i + 1].len();
         }
-        groups.last_mut().expect("group pushed above").push(point);
+        let mut digits = Vec::with_capacity(order.len());
+        let mut weight = 1usize;
+        for &i in order.iter().rev() {
+            digits.push(KeyDigit {
+                stride: strides[i],
+                len: axes[i].len(),
+                weight,
+                canonical: canonical_indices(axes[i].values()),
+            });
+            weight *= axes[i].len();
+        }
+        digits.reverse();
+        let tail_span = order[rebuild_axes..]
+            .iter()
+            .map(|&i| axes[i].len())
+            .product();
+        Self { digits, tail_span }
     }
-    groups
+
+    /// Keys for the planned ordering of `sweep`.
+    pub(crate) fn for_sweep(sweep: &Sweep) -> Self {
+        let (order, rebuild_axes) = planned_order(sweep);
+        Self::new(sweep, &order, rebuild_axes)
+    }
+
+    /// The evaluation key of grid index `index`.
+    fn key(&self, index: usize) -> usize {
+        self.digits
+            .iter()
+            .map(|d| d.canonical[index / d.stride % d.len] * d.weight)
+            .sum()
+    }
+
+    /// The rebuild-prefix key of grid index `index`: equal exactly for
+    /// points sharing every model-rebuilding coordinate.
+    pub(crate) fn rebuild_key(&self, index: usize) -> usize {
+        self.key(index) / self.tail_span
+    }
+
+    /// Sorts `(index, item)` pairs into evaluation order (stable, so
+    /// identically keyed items keep their input order) and partitions
+    /// them into groups sharing every rebuild coordinate.
+    fn group<T>(&self, items: impl Iterator<Item = (usize, T)>) -> Vec<Vec<T>> {
+        let mut keyed: Vec<(usize, T)> = items.map(|(index, t)| (self.key(index), t)).collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        let mut groups: Vec<Vec<T>> = Vec::new();
+        let mut current = None;
+        for (key, item) in keyed {
+            let prefix = key / self.tail_span;
+            if current != Some(prefix) {
+                groups.push(Vec::new());
+                current = Some(prefix);
+            }
+            groups.last_mut().expect("group pushed above").push(item);
+        }
+        groups
+    }
 }
 
 /// Groups an arbitrary subset of `sweep`'s grid exactly the way
@@ -253,27 +354,29 @@ fn group_by_rebuild_prefix(
 /// planned axis ordering, one group per distinct combination of
 /// model-rebuilding coordinates. Adaptive search uses this to batch a
 /// candidate generation so each batch builds one model per rebuild
-/// combination instead of one per point.
-pub(crate) fn group_points(sweep: &Sweep, points: Vec<DesignPoint>) -> Vec<Vec<DesignPoint>> {
+/// combination instead of one per point. Points are keyed by their
+/// [`DesignPoint::index`].
+pub(crate) fn group_points(keys: &GridKeys, points: Vec<DesignPoint>) -> Vec<Vec<DesignPoint>> {
     let _span = obs_core::span("explore.plan");
-    let (order, rebuild_axes) = planned_order(sweep);
-    group_by_rebuild_prefix(sweep, &order, rebuild_axes, points)
+    keys.group(points.into_iter().map(|point| (point.index, point)))
 }
 
 impl SweepPlan {
     /// Plans `sweep`: orders axes by descending invalidation weight
     /// (model-rebuilding axes first, ties broken by declaration order)
-    /// and groups points sharing every rebuild coordinate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep contains a point whose coordinate is missing
-    /// from its axis — impossible for grids built by [`Sweep::points`].
+    /// and groups points sharing every rebuild coordinate. Points are
+    /// keyed by index arithmetic and materialised once, in evaluation
+    /// order.
     #[must_use]
     pub fn new(sweep: &Sweep) -> Self {
         let _span = obs_core::span("explore.plan");
         let (order, rebuild_axes) = planned_order(sweep);
-        let groups = group_by_rebuild_prefix(sweep, &order, rebuild_axes, sweep.points());
+        let keys = GridKeys::new(sweep, &order, rebuild_axes);
+        let groups = keys
+            .group((0..sweep.len()).map(|index| (index, index)))
+            .into_iter()
+            .map(|group| group.into_iter().map(|i| sweep.point_at(i)).collect())
+            .collect();
         let axes = sweep.axes();
         Self {
             axis_order: order.iter().map(|&i| axes[i].name().to_owned()).collect(),
@@ -324,6 +427,137 @@ impl SweepPlan {
 mod tests {
     use super::*;
     use camj_tech::node::ProcessNode;
+    use proptest::prelude::*;
+
+    /// The planner as it keyed points before index arithmetic: each
+    /// coordinate looked up by name and located on its axis with a
+    /// linear `position` scan, then a stable sort and a prefix split.
+    fn oracle_groups(sweep: &Sweep, points: Vec<DesignPoint>) -> Vec<Vec<DesignPoint>> {
+        let (order, rebuild_axes) = planned_order(sweep);
+        let axes = sweep.axes();
+        let mut keyed: Vec<(Vec<usize>, DesignPoint)> = points
+            .into_iter()
+            .map(|point| {
+                let key = order
+                    .iter()
+                    .map(|&i| {
+                        let axis = &axes[i];
+                        let value = point.get(axis.name()).expect("every axis");
+                        axis.values()
+                            .iter()
+                            .position(|v| coord_eq(v, value))
+                            .expect("coordinate on its axis")
+                    })
+                    .collect::<Vec<usize>>();
+                (key, point)
+            })
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<Vec<DesignPoint>> = Vec::new();
+        let mut current_prefix: Option<Vec<usize>> = None;
+        for (key, point) in keyed {
+            let prefix = key[..rebuild_axes].to_vec();
+            if current_prefix.as_ref() != Some(&prefix) {
+                groups.push(Vec::new());
+                current_prefix = Some(prefix);
+            }
+            groups.last_mut().expect("group pushed above").push(point);
+        }
+        groups
+    }
+
+    /// Groups as grid indices (`DesignPoint` equality fails on NaN
+    /// coordinates, which the planner must still group).
+    fn indices(groups: &[Vec<DesignPoint>]) -> Vec<Vec<usize>> {
+        groups
+            .iter()
+            .map(|g| g.iter().map(|p| p.index).collect())
+            .collect()
+    }
+
+    /// SplitMix64 — the test's own draw stream from one proptest seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// `len` picks from `pool` (small pools make duplicates likely).
+        fn picks<T: Clone>(&mut self, pool: &[T], len: usize) -> Vec<T> {
+            (0..len)
+                .map(|_| pool[self.below(pool.len())].clone())
+                .collect()
+        }
+    }
+
+    /// A random sweep of 1–4 axes, 1–5 values each, drawn from small
+    /// value pools: duplicates on every axis kind, NaN and signed-zero
+    /// frame rates, and an unknown (rebuild-everything) label axis.
+    fn random_sweep(draw: &mut Draw) -> Sweep {
+        let mut names = vec!["fps", "bit_width", "tech_node", "memory", "variant"];
+        let mut sweep = Sweep::new();
+        for _ in 0..=draw.below(4) {
+            let name = names.remove(draw.below(names.len()));
+            let len = 1 + draw.below(5);
+            sweep = match name {
+                "fps" => sweep.fps_targets(draw.picks(&[10.0, 30.0, f64::NAN, 0.0, -0.0], len)),
+                "bit_width" => sweep.bit_widths(draw.picks(&[8, 10, 12], len)),
+                "tech_node" => sweep.tech_nodes(draw.picks(
+                    &[ProcessNode::N65, ProcessNode::N130, ProcessNode::N22],
+                    len,
+                )),
+                "memory" => sweep.memory_kinds(
+                    draw.picks(&[MemoryKind::DoubleBuffer, MemoryKind::LineBuffer], len),
+                ),
+                _ => sweep.labels(name, draw.picks(&["a", "b", "c"], len)),
+            };
+        }
+        sweep
+    }
+
+    proptest! {
+        /// Index-arithmetic planning reproduces the coordinate-scanning
+        /// planner exactly — group membership, group order, and the
+        /// order within each group — for the full grid and for shuffled
+        /// subsets.
+        #[test]
+        fn planner_matches_the_position_scan_oracle(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let sweep = random_sweep(&mut draw);
+            let plan = SweepPlan::new(&sweep);
+            prop_assert_eq!(
+                indices(plan.groups()),
+                indices(&oracle_groups(&sweep, sweep.points()))
+            );
+            let keys = GridKeys::for_sweep(&sweep);
+            let mut subset: Vec<DesignPoint> = sweep
+                .points()
+                .into_iter()
+                .filter(|_| draw.below(3) != 0)
+                .collect();
+            for i in (1..subset.len()).rev() {
+                subset.swap(i, draw.below(i + 1));
+            }
+            prop_assert_eq!(
+                indices(&group_points(&keys, subset.clone())),
+                indices(&oracle_groups(&sweep, subset))
+            );
+            for index in 0..sweep.len() {
+                let group = plan
+                    .groups()
+                    .iter()
+                    .position(|g| g.iter().any(|p| p.index == index))
+                    .expect("every point is planned");
+                let head = plan.groups()[group][0].index;
+                prop_assert_eq!(keys.rebuild_key(index), keys.rebuild_key(head));
+            }
+        }
+    }
 
     #[test]
     fn fps_is_the_only_builtin_tail_axis() {
@@ -379,7 +613,8 @@ mod tests {
             .tech_nodes([ProcessNode::N65, ProcessNode::N22]);
         // The full grid through group_points reproduces the plan.
         let plan = SweepPlan::new(&sweep);
-        assert_eq!(group_points(&sweep, sweep.points()), plan.groups());
+        let keys = GridKeys::for_sweep(&sweep);
+        assert_eq!(group_points(&keys, sweep.points()), plan.groups());
         // A subset groups by the same rebuild coordinates.
         let subset: Vec<DesignPoint> = sweep
             .points()
@@ -387,7 +622,7 @@ mod tests {
             .filter(|p| p.index % 3 != 0)
             .collect();
         let total: usize = subset.len();
-        let groups = group_points(&sweep, subset);
+        let groups = group_points(&keys, subset);
         assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), total);
         for group in &groups {
             let first = &group[0];

@@ -47,8 +47,8 @@
 //! [`estimate_at_fps_gated`]: camj_core::energy::ValidatedModel::estimate_at_fps_gated
 //! [`EstimateCache`]: camj_core::energy::EstimateCache
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +60,7 @@ use crate::explorer::{
     gated_point_eval, warm_stall, ParetoAccumulator, PointError, PointEval, PointOutcome,
 };
 use crate::pareto::{ParetoQuery, ParetoResults};
-use crate::plan::group_points;
+use crate::plan::{group_points, GridKeys};
 use crate::sweep::{DesignPoint, Sweep};
 use crate::Explorer;
 
@@ -363,7 +363,8 @@ impl Explorer {
         obs_core::counter("search.evals", 0, grid as u64);
         let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
         if grid > 0 {
-            let outcomes = self.evaluate_batch(sweep, cache, query, build, sweep.points());
+            let models = ModelMemo::new(sweep, query, build);
+            let outcomes = self.evaluate_batch(&models, cache, query, sweep.points());
             acc.fold(outcomes);
         }
         SearchResults {
@@ -395,6 +396,7 @@ impl Explorer {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut evaluated: BTreeSet<usize> = BTreeSet::new();
         let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
+        let models = ModelMemo::new(sweep, query, build);
 
         // --- Phase 1: successive-halving warm-up. ---
         let warmup_discarded = {
@@ -405,7 +407,7 @@ impl Explorer {
             obs_core::counter("search.evals", 0, batch.len() as u64);
             let points: Vec<DesignPoint> =
                 batch.iter().map(|&index| sweep.point_at(index)).collect();
-            let outcomes = self.warmup_batch(sweep, cache, query, build, points);
+            let outcomes = self.warmup_batch(&models, cache, query, points);
             // Split the truncated-fidelity outcomes: constraint prunes
             // and errors are decided; survivors compete for promotion
             // on their partial-energy lower bound.
@@ -439,7 +441,7 @@ impl Explorer {
             // Promotion re-runs the promoted points at full fidelity;
             // the shared cache replays the kernels warm-up already paid
             // for, so only the truncated tail is new work.
-            let outcomes = self.evaluate_batch(sweep, cache, query, build, promoted);
+            let outcomes = self.evaluate_batch(&models, cache, query, promoted);
             acc.fold(outcomes);
             discarded
         };
@@ -469,7 +471,7 @@ impl Explorer {
             obs_core::counter("search.evals", 0, batch.len() as u64);
             let points: Vec<DesignPoint> =
                 batch.iter().map(|&index| sweep.point_at(index)).collect();
-            let outcomes = self.evaluate_batch(sweep, cache, query, build, points);
+            let outcomes = self.evaluate_batch(&models, cache, query, points);
             acc.fold(outcomes);
             generations_run += 1;
             let frontier_now = frontier_indices(&acc);
@@ -504,10 +506,9 @@ impl Explorer {
     /// worker body), returning outcomes in grid order.
     fn evaluate_batch<F>(
         &self,
-        sweep: &Sweep,
+        models: &ModelMemo<'_, F>,
         cache: &Arc<EstimateCache>,
         query: &ParetoQuery,
-        build: &F,
         points: Vec<DesignPoint>,
     ) -> Vec<PointOutcome<PointEval>>
     where
@@ -518,9 +519,10 @@ impl Explorer {
         }
         let constraints = query.constraints();
         self.run_groups(
-            group_points(sweep, points),
+            group_points(&models.keys, points),
             cache,
-            build,
+            |representative| models.model_for(representative),
+            models.build,
             |model, pts| warm_stall(model, pts, |delay| constraints.admits_delay(delay)),
             |model, point| {
                 let _span = obs_core::span("search.eval");
@@ -536,10 +538,9 @@ impl Explorer {
     /// yielding a partial-energy lower bound per survivor.
     fn warmup_batch<F>(
         &self,
-        sweep: &Sweep,
+        models: &ModelMemo<'_, F>,
         cache: &Arc<EstimateCache>,
         query: &ParetoQuery,
-        build: &F,
         points: Vec<DesignPoint>,
     ) -> Vec<PointOutcome<WarmupEval>>
     where
@@ -550,9 +551,10 @@ impl Explorer {
         }
         let constraints = query.constraints();
         self.run_groups(
-            group_points(sweep, points),
+            group_points(&models.keys, points),
             cache,
-            build,
+            |representative| models.model_for(representative),
+            models.build,
             |model, pts| warm_stall(model, pts, |delay| constraints.admits_delay(delay)),
             |model, point| {
                 let _span = obs_core::span("search.eval");
@@ -587,6 +589,68 @@ impl Explorer {
             },
         )
         .into_outcomes()
+    }
+}
+
+/// The models one search run has built, one per rebuild combination,
+/// so a combination that recurs in later batches is built once per run
+/// instead of once per batch.
+///
+/// Only a successful representative build is kept (as built: no cache
+/// attached, nothing simulated), and every hit hands out a clone of it.
+/// A clone shares the model's kernel plan but starts with empty
+/// per-model simulation and stall memos, exactly like a fresh build, so
+/// it consults the shared cache in the same places a rebuild would and
+/// the cache counters are unchanged. A failed representative is not
+/// kept: the next batch tries it again, and its points fall back to
+/// per-point builds as before.
+///
+/// Objectives that run the functional pipeline (`mc_snr`, `accuracy`)
+/// read the model's own frame rate, which comes from whichever point
+/// built it, so for those queries the memo is off and every batch
+/// builds its own models.
+struct ModelMemo<'a, F> {
+    keys: GridKeys,
+    build: &'a F,
+    models: Option<Mutex<HashMap<usize, ValidatedModel>>>,
+}
+
+impl<'a, F> ModelMemo<'a, F>
+where
+    F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
+{
+    /// A memo over `sweep`'s rebuild combinations; a functional
+    /// objective in `query` makes every lookup a build.
+    fn new(sweep: &Sweep, query: &ParetoQuery, build: &'a F) -> Self {
+        let reads_model_fps = query
+            .objectives()
+            .iter()
+            .any(|o| o.mc_samples().is_some() || o.accuracy_metric().is_some());
+        Self {
+            keys: GridKeys::for_sweep(sweep),
+            build,
+            models: (!reads_model_fps).then(Mutex::default),
+        }
+    }
+
+    /// The model for the group `representative` heads: the memoised
+    /// build of its rebuild combination, or a fresh one (memoised when
+    /// it succeeds).
+    fn model_for(&self, representative: &DesignPoint) -> Result<ValidatedModel, PointError> {
+        let Some(models) = &self.models else {
+            return (self.build)(representative);
+        };
+        let key = self.keys.rebuild_key(representative.index);
+        let lock = || models.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(model) = lock().get(&key) {
+            return Ok(model.clone());
+        }
+        let model = (self.build)(representative)?;
+        // The simulation fingerprint is a pure function of the design:
+        // resolve it once here so every clone carries it.
+        let _ = model.sim_fingerprint();
+        lock().insert(key, model.clone());
+        Ok(model)
     }
 }
 

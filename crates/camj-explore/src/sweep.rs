@@ -129,18 +129,19 @@ impl Sweep {
             self.len()
         );
         // Decompose the flat index into per-axis indices, last axis
-        // fastest.
-        let mut remainder = index;
-        let mut coords = vec![None; self.axes.len()];
-        for (slot, axis) in self.axes.iter().enumerate().rev() {
-            let i = remainder % axis.len();
-            remainder /= axis.len();
-            coords[slot] = Some((axis.name().to_owned(), axis.values()[i].clone()));
-        }
-        DesignPoint {
-            index,
-            coords: coords.into_iter().map(|c| c.expect("filled")).collect(),
-        }
+        // fastest: an axis's stride is the product of the lengths after
+        // it.
+        let mut stride = self.len();
+        let coords = self
+            .axes
+            .iter()
+            .map(|axis| {
+                stride /= axis.len();
+                let i = index / stride % axis.len();
+                (axis.name().to_owned(), axis.values()[i].clone())
+            })
+            .collect();
+        DesignPoint { index, coords }
     }
 }
 

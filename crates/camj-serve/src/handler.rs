@@ -124,6 +124,26 @@ impl SharedState {
         }
     }
 
+    /// The dedup replay fast path: answers a request line that is the
+    /// canonical serialization of a request whose response is already
+    /// rendered, without parsing the line (see
+    /// [`crate::protocol::canonical_line_key`]). Returns the line's id
+    /// and the rendered response, booked exactly like a replay through
+    /// [`Self::respond`]; `None` means "parse it and call `respond`" —
+    /// for every other line, and for a slot still being computed.
+    pub fn replay(&self, line: &str) -> Option<(u64, Rendered)> {
+        let (id, fp) = crate::protocol::canonical_line_key(line)?;
+        let rendered = {
+            let map = self.dedup.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(map.get(&fp)?.get()?)
+        };
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let _span = obs_core::span("serve.request");
+        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        obs_core::counter("serve.dedup.hit", 0, 1);
+        Some((id, rendered))
+    }
+
     /// The dedup path: join or create the in-flight slot for this
     /// request's fingerprint, computing at most once process-wide.
     fn deduped(&self, request: &Request) -> Rendered {

@@ -163,12 +163,46 @@ impl Request {
         let mut canonical = self.clone();
         canonical.id = 0;
         let json = serde_json::to_string(&canonical).unwrap_or_default();
-        let mut h = FpHasher::new();
-        h.write_str("camj-serve.request");
-        h.write_u32(PROTOCOL_VERSION);
-        h.write_str(&json);
-        h.finish()
+        canonical_fingerprint(&json, "")
     }
+}
+
+/// The fingerprint of canonical request JSON `head` + `tail` (the
+/// request's [`serialize_request`] form with `id` zeroed).
+fn canonical_fingerprint(head: &str, tail: &str) -> Fingerprint {
+    let mut h = FpHasher::new();
+    h.write_str("camj-serve.request");
+    h.write_u32(PROTOCOL_VERSION);
+    // `write_str` of the concatenation, without building it.
+    h.write_usize(head.len() + tail.len());
+    h.write_bytes(head.as_bytes());
+    h.write_bytes(tail.as_bytes());
+    h.finish()
+}
+
+/// The id and [`Request::fingerprint`] a request line has *if* it is
+/// the canonical serialization of a request ([`serialize_request`]
+/// output, as `camj --connect` sends), computed from the raw text
+/// without parsing it. `None` when the line does not open with a
+/// canonical `{"id":N,` member (N a plain integer of at most 15
+/// digits, so exactly representable).
+///
+/// A line that is not canonical still gets a key here, but one no
+/// parsed request has, so it can only miss: the daemon uses this to
+/// answer dedup replays before parsing, and parses on a miss.
+#[must_use]
+pub fn canonical_line_key(line: &str) -> Option<(u64, Fingerprint)> {
+    let rest = line.strip_prefix("{\"id\":")?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let (id, body) = rest.split_at(digits);
+    let body = body.strip_prefix(',')?;
+    if id.is_empty() || id.len() > 15 || (id.len() > 1 && id.starts_with('0')) {
+        return None;
+    }
+    Some((
+        id.parse().ok()?,
+        canonical_fingerprint(ID_ZERO_PREFIX, body),
+    ))
 }
 
 /// Response frame discriminant.
@@ -376,10 +410,11 @@ pub fn serialize_frame(frame: &Frame) -> String {
     serde_json::to_string(frame).unwrap_or_default()
 }
 
-/// The prefix every id-less rendered frame line starts with: `id` is
-/// the first declared [`Frame`] field and the serializer emits fields
-/// in declaration order. [`stamp_line`] relies on this; a unit test
-/// pins it.
+/// The prefix every id-less rendered frame line, and every canonical
+/// request line with its id zeroed, starts with: `id` is the first
+/// declared field of [`Frame`] and of [`Request`], and the serializer
+/// emits fields in declaration order. [`stamp_line`] and
+/// [`canonical_line_key`] rely on this; unit tests pin it.
 const ID_ZERO_PREFIX: &str = "{\"id\":0,";
 
 /// Rewrites an id-less rendered frame line (as produced by the
@@ -388,12 +423,37 @@ const ID_ZERO_PREFIX: &str = "{\"id\":0,";
 /// instead of deep-cloning and re-serializing frame bodies.
 #[must_use]
 pub fn stamp_line(line: &str, id: u64) -> String {
+    let mut out = String::with_capacity(line.len() + 20);
+    push_stamped(&mut out, line, &id_prefix(id));
+    out
+}
+
+/// Appends id-less rendered frame lines to `out`, each stamped with
+/// `id` as [`stamp_line`] does and terminated by `\n` — how the daemon
+/// assembles a response's one write payload, formatting the id once.
+pub fn stamp_lines_into<'a>(out: &mut String, lines: impl IntoIterator<Item = &'a str>, id: u64) {
+    let prefix = id_prefix(id);
+    for line in lines {
+        push_stamped(out, line, &prefix);
+        out.push('\n');
+    }
+}
+
+/// `{"id":<id>,` — what replaces [`ID_ZERO_PREFIX`].
+fn id_prefix(id: u64) -> String {
+    format!("{{\"id\":{id},")
+}
+
+fn push_stamped(out: &mut String, line: &str, prefix: &str) {
     debug_assert!(
         line.starts_with(ID_ZERO_PREFIX),
         "rendered frames must be id-less: {line}"
     );
-    if id == 0 || !line.starts_with(ID_ZERO_PREFIX) {
-        return line.to_owned();
+    match line.strip_prefix(ID_ZERO_PREFIX) {
+        Some(rest) => {
+            out.push_str(prefix);
+            out.push_str(rest);
+        }
+        None => out.push_str(line),
     }
-    format!("{{\"id\":{id},{}", &line[ID_ZERO_PREFIX.len()..])
 }

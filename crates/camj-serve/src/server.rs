@@ -26,7 +26,9 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 
 use crate::handler::SharedState;
-use crate::protocol::{parse_request, serialize_frame, stamp_line, Frame, Reject, MAX_LINE_BYTES};
+use crate::protocol::{
+    parse_request, serialize_frame, stamp_lines_into, Frame, Reject, MAX_LINE_BYTES,
+};
 
 /// Daemon configuration (the `camj serve` flags).
 #[derive(Debug, Clone)]
@@ -211,17 +213,7 @@ impl Core {
 /// Executes one job and writes its response frames. Returns whether a
 /// shutdown was requested.
 fn process_job(state: &SharedState, job: &Job) -> bool {
-    let (lines, shutdown) = respond_to_line(state, &job.line);
-    // One write for the whole response: the handler finishes every
-    // frame before the first byte leaves anyway, and a single syscall
-    // (one immediate packet train under `TCP_NODELAY`) is what keeps a
-    // dedup replay at microseconds — per-line writes cost a syscall
-    // each, and split writes stall ~40ms on Nagle + delayed ACKs.
-    let mut payload = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-    for line in &lines {
-        payload.push_str(line);
-        payload.push('\n');
-    }
+    let (payload, shutdown) = respond_to_line(state, &job.line);
     let mut writer = job.writer.lock().unwrap_or_else(PoisonError::into_inner);
     // On error the client went away; its response is undeliverable but
     // the daemon (and any dedup slot just warmed) lives on.
@@ -232,49 +224,73 @@ fn process_job(state: &SharedState, job: &Job) -> bool {
 }
 
 /// Parses and answers one raw line, with panic isolation. Returns the
-/// response as finished wire lines, always ending with a `done` frame.
-fn respond_to_line(state: &SharedState, line: &Result<String, usize>) -> (Vec<String>, bool) {
-    let (mut lines, id, shutdown) = match line {
+/// whole response as one wire payload — every frame line
+/// `\n`-terminated, always ending with a `done` frame — and whether a
+/// shutdown was requested.
+///
+/// One payload, one write: the handler finishes every frame before the
+/// first byte leaves anyway, and a single syscall (one immediate packet
+/// train under `TCP_NODELAY`) is what keeps a dedup replay at
+/// microseconds — per-line writes cost a syscall each, and split writes
+/// stall ~40ms on Nagle + delayed ACKs. Rendered lines are stamped with
+/// the request id straight into the payload, so a large replay copies
+/// each line once; a replay of a canonical request line
+/// ([`SharedState::replay`]) is answered before parsing it.
+fn respond_to_line(state: &SharedState, line: &Result<String, usize>) -> (String, bool) {
+    let mut payload = String::new();
+    let push_frame = |payload: &mut String, frame: &Frame| {
+        payload.push_str(&serialize_frame(frame));
+        payload.push('\n');
+    };
+    let (count, id, shutdown) = match line {
         Err(oversize) => {
             let reject = Reject::at(
                 "request",
                 format!("line of {oversize} bytes exceeds the {MAX_LINE_BYTES} byte limit"),
             );
-            (vec![serialize_frame(&reject.frame())], 0, false)
+            push_frame(&mut payload, &reject.frame());
+            (1, 0, false)
         }
-        Ok(text) => match parse_request(text) {
-            Err(reject) => {
-                let id = reject.id;
-                (vec![serialize_frame(&reject.frame())], id, false)
+        // A dedup replay of a canonical line: nothing to parse.
+        Ok(text) => match state.replay(text) {
+            Some((id, rendered)) => {
+                stamp_response(&mut payload, &rendered, id);
+                (rendered.len(), id, false)
             }
-            Ok(request) => {
-                match catch_unwind(AssertUnwindSafe(|| state.respond(&request))) {
-                    // The handler renders id-less lines once; here each
-                    // response — fresh or replayed — splices in its own
-                    // correlation id.
-                    Ok((rendered, shutdown)) => (
-                        rendered.iter().map(|l| stamp_line(l, request.id)).collect(),
-                        request.id,
-                        shutdown,
-                    ),
-                    Err(payload) => (
-                        vec![serialize_frame(
-                            &Frame::error(
-                                "request",
-                                format!("panicked: {}", panic_message(payload.as_ref())),
-                            )
-                            .with_id(request.id),
-                        )],
-                        request.id,
-                        false,
-                    ),
+            None => match parse_request(text) {
+                Err(reject) => {
+                    push_frame(&mut payload, &reject.frame());
+                    (1, reject.id, false)
                 }
-            }
+                Ok(request) => match catch_unwind(AssertUnwindSafe(|| state.respond(&request))) {
+                    Ok((rendered, shutdown)) => {
+                        stamp_response(&mut payload, &rendered, request.id);
+                        (rendered.len(), request.id, shutdown)
+                    }
+                    Err(panic) => {
+                        let frame = Frame::error(
+                            "request",
+                            format!("panicked: {}", panic_message(panic.as_ref())),
+                        );
+                        push_frame(&mut payload, &frame.with_id(request.id));
+                        (1, request.id, false)
+                    }
+                },
+            },
         },
     };
-    let count = lines.len() as u64;
-    lines.push(serialize_frame(&Frame::done(count).with_id(id)));
-    (lines, shutdown)
+    push_frame(&mut payload, &Frame::done(count as u64).with_id(id));
+    (payload, shutdown)
+}
+
+/// Appends a response's rendered id-less lines to `payload`, each
+/// stamped with the request's correlation id. The handler renders once;
+/// every response — fresh or replayed — splices in its own id here.
+fn stamp_response(payload: &mut String, rendered: &[String], id: u64) {
+    // Room for the lines, an id of up to 20 digits each, and the
+    // `done` frame.
+    payload.reserve(rendered.iter().map(|l| l.len() + 21).sum::<usize>() + 64);
+    stamp_lines_into(payload, rendered.iter().map(String::as_str), id);
 }
 
 /// Best-effort text of a panic payload.

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use camj_desc::ir::SweepConstraintsIr;
 use camj_serve::protocol::{
-    parse_frame, parse_request, serialize_frame, serialize_request, stamp_line, Frame, Request,
-    RequestKind, MAX_LINE_BYTES,
+    canonical_line_key, parse_frame, parse_request, serialize_frame, serialize_request, stamp_line,
+    Frame, Request, RequestKind, MAX_LINE_BYTES,
 };
 use serde_json::Value;
 
@@ -128,6 +128,20 @@ proptest! {
         prop_assert_eq!(parsed, frame);
     }
 
+    /// A canonical request line keys itself without being parsed: its
+    /// id and the fingerprint of the request it parses to (the dedup
+    /// replay fast path). The same request spelled any other way keys
+    /// to a fingerprint it does not have, so it can only miss.
+    #[test]
+    fn canonical_lines_key_like_their_request(kind_idx in 0usize..8, id in 0u64..1_000_000_000_000_000, mask in 0u32..512, seed in 0u64..1_000_000) {
+        let request = build_request(KINDS[kind_idx], id, mask, seed);
+        let line = serialize_request(&request);
+        prop_assert_eq!(canonical_line_key(&line), Some((id, request.fingerprint())));
+        let spaced = line.replacen(",\"kind\"", ", \"kind\"", 1);
+        prop_assert_eq!(parse_request(&spaced).unwrap(), request.clone());
+        prop_assert!(canonical_line_key(&spaced).is_some_and(|(_, fp)| fp != request.fingerprint()));
+    }
+
     /// Stamping an id into an id-less rendered line (the dedup replay
     /// fast path) is exactly equivalent to serializing the frame with
     /// that id — so replayed and freshly-computed responses can never
@@ -243,4 +257,29 @@ fn constraint_budgets_keep_their_wire_bytes() {
         format!("{:?}", request.fingerprint()),
         "Fingerprint { hi: 5203345272585657807, lo: 13928542010554365168 }"
     );
+}
+
+/// Only a line opening with a canonical `{"id":N,` member — N a plain
+/// integer of at most 15 digits — gets a replay key.
+#[test]
+fn only_a_canonical_id_member_keys_a_line() {
+    let line = serialize_request(&build_request(RequestKind::Sweep, 7, 3, 1));
+    let body = line
+        .strip_prefix("{\"id\":7,")
+        .expect("id is the first member");
+    for prefix in [
+        "{\"id\":07,",
+        "{\"id\":-7,",
+        "{\"id\":7.0,",
+        "{\"id\": 7,",
+        "{\"id\":,",
+        "{\"id\":1000000000000000,",
+    ] {
+        assert_eq!(
+            canonical_line_key(&format!("{prefix}{body}")),
+            None,
+            "{prefix}"
+        );
+    }
+    assert_eq!(canonical_line_key(&format!("{{{body}")), None);
 }

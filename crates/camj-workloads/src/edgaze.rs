@@ -483,7 +483,6 @@ mod tests {
         let comp_d_s12: camj_tech::units::Energy = digital
             .breakdown
             .items()
-            .iter()
             .filter(|i| {
                 i.category == EnergyCategory::DigitalCompute && i.stage.as_deref() != Some("RoiDnn")
             })
@@ -500,7 +499,6 @@ mod tests {
         let fb_digital = digital
             .breakdown
             .items()
-            .iter()
             .find(|i| i.unit == "FrameBuffer")
             .map(|i| i.energy)
             .expect("frame buffer present");

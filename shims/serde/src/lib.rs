@@ -257,6 +257,21 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     }
 }
 
+/// Shared pointers serialize as their pointee and deserialize into a
+/// fresh, unshared value. (Real serde gates these impls behind its
+/// `rc` feature; swapping this shim for it means enabling that.)
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

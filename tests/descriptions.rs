@@ -54,7 +54,7 @@ fn golden_files_load_to_byte_identical_estimates() {
             b.total().joules().to_bits(),
             "{name}: totals must be bit-exact"
         );
-        for (x, y) in a.breakdown.items().iter().zip(b.breakdown.items().iter()) {
+        for (x, y) in a.breakdown.items().zip(b.breakdown.items()) {
             assert_eq!(
                 x.energy.joules().to_bits(),
                 y.energy.joules().to_bits(),

@@ -112,7 +112,6 @@ fn finding_3_analog_processing_wins_through_memory() {
         let comp_d_s12: camj_tech::units::Energy = digital
             .breakdown
             .items()
-            .iter()
             .filter(|i| {
                 i.category == EnergyCategory::DigitalCompute && i.stage.as_deref() != Some("RoiDnn")
             })
