@@ -363,7 +363,8 @@ impl Explorer {
         obs_core::counter("search.evals", 0, grid as u64);
         let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
         if grid > 0 {
-            let models = ModelMemo::new(sweep, query, build);
+            // One batch: every group already has its own combination.
+            let models = ModelMemo::unmemoised(sweep, build);
             let outcomes = self.evaluate_batch(&models, cache, query, sweep.points());
             acc.fold(outcomes);
         }
@@ -608,7 +609,8 @@ impl Explorer {
 /// Objectives that run the functional pipeline (`mc_snr`, `accuracy`)
 /// read the model's own frame rate, which comes from whichever point
 /// built it, so for those queries the memo is off and every batch
-/// builds its own models.
+/// builds its own models. The exhaustive path, a single batch, never
+/// memoises either: its models are freed group by group.
 struct ModelMemo<'a, F> {
     keys: GridKeys,
     build: &'a F,
@@ -627,9 +629,18 @@ where
             .iter()
             .any(|o| o.mc_samples().is_some() || o.accuracy_metric().is_some());
         Self {
+            models: (!reads_model_fps).then(Mutex::default),
+            ..Self::unmemoised(sweep, build)
+        }
+    }
+
+    /// Every lookup a build: for a single batch, where no combination
+    /// recurs.
+    fn unmemoised(sweep: &Sweep, build: &'a F) -> Self {
+        Self {
             keys: GridKeys::for_sweep(sweep),
             build,
-            models: (!reads_model_fps).then(Mutex::default),
+            models: None,
         }
     }
 

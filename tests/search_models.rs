@@ -1,7 +1,9 @@
 //! Adaptive search over the Ed-Gaze 4-axis grid: each rebuild
 //! combination's model is built once per run however many batches
 //! revisit it, and the result — frontier, trajectory, prune ledger and
-//! cache block — is the committed golden at every worker count.
+//! cache block — is the committed golden at every worker count. A
+//! search with a Monte-Carlo objective, which reads its group model's
+//! own frame rate, keeps building per batch and matches its golden too.
 //!
 //! This file is its own test binary because it pins the rayon worker
 //! count process-wide.
@@ -9,12 +11,18 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use camj::analog::array::AnalogArray;
+use camj::analog::components::{aps_4t, column_adc, ApsParams};
+use camj::analog::noise::NoiseSource;
 use camj::core::energy::{CacheStats, CamJ, ValidatedModel};
+use camj::core::hw::{AnalogCategory, AnalogUnitDesc, HardwareDesc, Layer};
+use camj::core::mapping::Mapping;
+use camj::core::sw::{AlgorithmGraph, Stage};
 use camj::explore::{
     Constraint, DesignPoint, EstimateCache, Explorer, MemoryKind, Objective, ParetoQuery,
     PointError, ProcessNode, SearchResults, SearchSpec, Sweep,
 };
-use camj::workloads::configs::SensorVariant;
+use camj::workloads::configs::{self, SensorVariant};
 use camj::workloads::edgaze;
 
 /// 8 fps × 4 ADC bit widths × 4 CIS nodes × 2 frame buffers: 256
@@ -81,12 +89,9 @@ fn search(explorer: &Explorer) -> (SearchResults, CacheStats, HashMap<String, us
     (results, cache.stats(), builds.into_inner().unwrap())
 }
 
-fn golden() -> String {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/edgaze-4axis.search256.json"
-    );
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// The committed golden was captured before search memoised its
@@ -103,7 +108,10 @@ fn golden() -> String {
 fn adaptive_search_builds_each_combination_once_at_every_worker_count() {
     let (serial, serial_stats, serial_builds) = search(&Explorer::serial());
     let serial_json = serial.to_json(Some(&serial_stats));
-    assert_eq!(format!("{serial_json}\n"), golden());
+    assert_eq!(
+        format!("{serial_json}\n"),
+        golden("edgaze-4axis.search256.json")
+    );
     assert!(serial_builds.len() > 1);
     assert!(
         serial_builds.values().all(|&count| count == 1),
@@ -136,4 +144,76 @@ fn adaptive_search_builds_each_combination_once_at_every_worker_count() {
             "{threads} workers"
         );
     }
+}
+
+/// A 16×16 noisy pixel array read out by a column ADC of `bits` bits,
+/// built at the point's own frame rate: its dark-current noise grows
+/// with the exposure a lower frame rate allows, so the Monte-Carlo
+/// noise of a model depends on the fps it was built at.
+fn small_sensor(point: &DesignPoint) -> Result<ValidatedModel, PointError> {
+    let bits = point.u32("bit_width");
+    let mut algo = AlgorithmGraph::new();
+    algo.add_stage(Stage::input("Input", [16, 16, 1]));
+    algo.add_stage(Stage::element_wise("Gain", [16, 16, 1], 1));
+    algo.connect("Input", "Gain").map_err(PointError::new)?;
+    let pixel = aps_4t(ApsParams::default())
+        .with_noise_source(NoiseSource::photon_shot(configs::FULL_WELL_ELECTRONS))
+        .with_noise_source(NoiseSource::dark_current(
+            configs::DARK_CURRENT_E_PER_S,
+            configs::FULL_WELL_ELECTRONS,
+        ))
+        .with_noise_source(NoiseSource::read(configs::READ_NOISE_FRACTION));
+    let mut hw = HardwareDesc::new(200e6);
+    hw.add_analog(
+        AnalogUnitDesc::new(
+            "PixelArray",
+            AnalogArray::new(pixel, 16, 16),
+            Layer::Sensor,
+            AnalogCategory::Sensing,
+        )
+        .with_pixel_pitch_um(3.0),
+    );
+    hw.add_analog(AnalogUnitDesc::new(
+        "ADCArray",
+        AnalogArray::new(column_adc(bits), 1, 16),
+        Layer::Sensor,
+        AnalogCategory::Sensing,
+    ));
+    hw.connect("PixelArray", "ADCArray");
+    let mapping = Mapping::new()
+        .map("Input", "PixelArray")
+        .map("Gain", "ADCArray");
+    CamJ::new(algo, hw, mapping, point.f64("fps"))
+        .map(CamJ::into_validated)
+        .map_err(PointError::new)
+}
+
+/// `mc_snr` measures each point on its group's model, at the frame
+/// rate that model was built at — the group representative's. A
+/// search-wide model memo would hand a later batch the model an earlier
+/// batch built at another frame rate and move the noise coordinates, so
+/// for this objective every batch still builds its own models. The
+/// golden was captured before search memoised models.
+#[test]
+fn adaptive_search_with_a_monte_carlo_objective_builds_per_batch() {
+    let sweep = Sweep::new()
+        .fps_targets((0..8).map(|i| 1.0 + 4.0 * f64::from(i)))
+        .bit_widths([6, 8, 10, 12]);
+    let query = ParetoQuery::new(vec![
+        Objective::TotalEnergy,
+        "mc_snr:2".parse::<Objective>().unwrap(),
+    ]);
+    let spec = SearchSpec::new()
+        .seed(3)
+        .population(6)
+        .budget(24)
+        .exhaustive_below(0);
+    let cache = EstimateCache::shared();
+    let results = Explorer::serial().search(&sweep, &cache, &query, &spec, small_sensor);
+    assert!(!results.exhaustive());
+    assert!(results.generations_run() >= 2);
+    assert_eq!(
+        format!("{}\n", results.to_json(Some(&cache.stats()))),
+        golden("small-sensor.search-mc.json")
+    );
 }
