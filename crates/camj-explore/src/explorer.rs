@@ -276,42 +276,6 @@ impl Explorer {
         SweepResults { outcomes }
     }
 
-    /// The frame-rate sweep fast path: estimates `model` at every FPS in
-    /// `fps_targets`, going through the staged pipeline so checks,
-    /// routing, and the elastic latency simulation run **once** and only
-    /// the FPS-dependent stages run per point.
-    ///
-    /// Points that are infeasible at their frame rate (or stall) come
-    /// back as error entries like any other sweep failure.
-    pub fn sweep_fps(
-        &self,
-        model: &ValidatedModel,
-        fps_targets: impl IntoIterator<Item = f64>,
-    ) -> SweepResults<EstimateReport> {
-        // Resolve the shared artifacts up front so workers hit caches
-        // instead of racing to fill them: the elastic simulation, and —
-        // because stall freedom is monotone in readout time — one stall
-        // verdict at the *fastest* target, which settles every slower
-        // one. Errors here simply resurface at the points themselves.
-        let _ = model.simulate();
-        let sweep = Sweep::new().fps_targets(fps_targets);
-        let fastest = sweep.axes()[0]
-            .values()
-            .iter()
-            .filter_map(crate::AxisValue::as_f64)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if fastest.is_finite() && fastest > 0.0 {
-            let _ = model
-                .estimate_delay_at(fastest)
-                .and_then(|delay| model.check_stall(&delay));
-        }
-        self.run(&sweep, |point| {
-            model
-                .estimate_at_fps(point.fps("fps"))
-                .map_err(PointError::from)
-        })
-    }
-
     /// The cross-point incremental sweep: plans the grid with
     /// [`SweepPlan`] (heaviest axes slowest, points grouped by their
     /// model-rebuilding coordinates), builds **one** [`ValidatedModel`]
@@ -824,7 +788,9 @@ mod tests {
         let model = camj_workloads::quickstart::model(30.0)
             .map(camj_core::energy::CamJ::into_validated)
             .expect("quickstart builds");
-        let results = Explorer::serial().sweep_fps(&model, [30.0, 30.0]);
+        let sweep = Sweep::new().fps_targets([30.0, 30.0]);
+        let cache = EstimateCache::shared();
+        let results = Explorer::serial().sweep_incremental(&sweep, &cache, |_| Ok(model.clone()));
         assert_eq!(results.ok_count(), 2);
         let (winner, _) = results.min_energy().expect("two successes");
         assert_eq!(winner.index, 0);

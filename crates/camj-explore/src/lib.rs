@@ -21,16 +21,15 @@
 //!    [`SweepResults`] in grid order regardless of completion order,
 //!    so a parallel sweep is bit-identical to a serial one.
 //!
-//! For the common frame-rate axis, [`Explorer::sweep_fps`] goes through
-//! the staged pipeline's cached artifacts: checks, routing, and the
-//! elastic cycle-level simulation run **once** for the design, and only
-//! the FPS-dependent stages (delay solve, stall check, energy) re-run
-//! per point.
-//!
-//! Multi-axis grids go further through the **incremental engine**:
-//! [`Explorer::sweep_incremental`] plans the grid with [`SweepPlan`] —
-//! each axis declares which pipeline artifacts it can invalidate
-//! ([`axis_impact`]), the most-invalidating axes vary slowest, and
+//! Rather than building a model per point, the **incremental engine**
+//! ([`Explorer::sweep_incremental`]) reuses what points share. A
+//! frame-rate sweep of one design is its one-axis case — build closure
+//! `|_| Ok(model.clone())` — where checks, routing, and the elastic
+//! cycle-level simulation run **once** and only the FPS-dependent
+//! stages (delay solve, stall check, energy) re-run per point. In
+//! general, it plans the grid with [`SweepPlan`] — each axis declares
+//! which pipeline artifacts it can invalidate ([`axis_impact`]), the
+//! most-invalidating axes vary slowest, and
 //! points sharing every model-rebuilding coordinate build **one**
 //! model — then threads a content-addressed [`EstimateCache`] through
 //! every point, so elastic simulations, stall verdicts, and energy

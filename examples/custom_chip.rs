@@ -53,9 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The description carries its own sweep spec (`sweep.fps`); drive
-    // the staged pipeline across it, exactly like `camj sweep`.
+    // the incremental sweep engine across it, exactly like `camj sweep`.
     if let Some(sweep) = &desc.sweep {
-        let results = camj::Explorer::new().sweep_fps(&model, sweep.fps.iter().copied());
+        let grid = camj::Sweep::new().fps_targets(sweep.fps.iter().copied());
+        let cache = camj::explore::EstimateCache::shared();
+        let results = camj::Explorer::new().sweep_incremental(&grid, &cache, |_| Ok(model.clone()));
         println!();
         println!("  frame-rate sweep (from the description's sweep.fps):");
         for (point, r) in results.successes() {

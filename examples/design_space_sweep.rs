@@ -9,10 +9,11 @@
 //! stops beating its digital equivalent.
 //!
 //! Part 2 — a frame-rate sweep of the Fig. 5 quickstart chip through
-//! the staged estimation pipeline: checks, routing, and the elastic
-//! cycle-level simulation run once, and only the FPS-dependent stages
-//! run per point, in parallel, with infeasible points captured as error
-//! entries instead of aborting the sweep.
+//! the incremental sweep engine: one model serves every point, so
+//! checks, routing, and the elastic cycle-level simulation run once,
+//! and only the FPS-dependent stages run per point, in parallel, with
+//! infeasible points captured as error entries instead of aborting the
+//! sweep.
 //!
 //! ```text
 //! cargo run --example design_space_sweep
@@ -20,7 +21,7 @@
 
 use camj::analog::components::{abs_diff, switched_cap_mac};
 use camj::analog::noise::min_capacitance_for_resolution;
-use camj::explore::{Explorer, PointError, Sweep};
+use camj::explore::{EstimateCache, Explorer, PointError, Sweep};
 use camj::tech::units::Time;
 use camj::workloads::quickstart;
 
@@ -86,7 +87,9 @@ fn frame_rate_sweep() -> Result<(), Box<dyn std::error::Error>> {
     // it surfaces as an error entry without poisoning its neighbours.
     let model = quickstart::model(30.0)?.into_validated();
     let targets = [15.0, 30.0, 60.0, 120.0, 480.0, 1920.0, 10_000_000.0];
-    let results = Explorer::parallel().sweep_fps(&model, targets);
+    let sweep = Sweep::new().fps_targets(targets);
+    let results = Explorer::parallel()
+        .sweep_incremental(&sweep, &EstimateCache::shared(), |_| Ok(model.clone()));
 
     println!();
     println!("Fig. 5 quickstart chip across frame-rate targets (staged pipeline,");

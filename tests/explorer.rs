@@ -1,13 +1,14 @@
 //! Integration tests of the `camj-explore` sweep machinery over real
-//! workload models: parallel/serial determinism, the staged-pipeline
-//! FPS fast path, and per-point failure isolation.
+//! workload models: parallel/serial determinism, the one-model
+//! frame-rate sweep, and per-point failure isolation.
 
 use proptest::prelude::*;
 
-use camj::explore::{DesignPoint, Explorer, PointError, Sweep};
+use camj::explore::{DesignPoint, EstimateCache, Explorer, PointError, Sweep, SweepResults};
 use camj::tech::node::ProcessNode;
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::{edgaze, quickstart};
+use camj::{EstimateReport, ValidatedModel};
 
 /// A parallel sweep must return byte-identical `EstimateReport`s to the
 /// same sweep run serially — same grid order, same contents.
@@ -37,14 +38,26 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 }
 
-/// The staged pipeline's FPS fast path (cached checks/routes/latency
-/// sim) must produce byte-identical reports to building and estimating
-/// each point from scratch.
+/// Sweeps one validated model across `targets`: a one-axis incremental
+/// sweep whose every point shares the model's checks, routes, and
+/// latency simulation.
+fn fps_sweep(
+    explorer: &Explorer,
+    model: &ValidatedModel,
+    targets: impl IntoIterator<Item = f64>,
+) -> SweepResults<EstimateReport> {
+    let sweep = Sweep::new().fps_targets(targets);
+    explorer.sweep_incremental(&sweep, &EstimateCache::shared(), |_| Ok(model.clone()))
+}
+
+/// The one-model FPS sweep (cached checks/routes/latency sim) must
+/// produce byte-identical reports to building and estimating each
+/// point from scratch.
 #[test]
 fn fps_fast_path_matches_scratch_estimates() {
     let model = quickstart::model(30.0).expect("builds").into_validated();
     let targets = [15.0, 30.0, 45.0, 90.0, 240.0];
-    let swept = Explorer::parallel().sweep_fps(&model, targets);
+    let swept = fps_sweep(&Explorer::parallel(), &model, targets);
     assert_eq!(swept.error_count(), 0);
     for (point, fast) in swept.successes() {
         let fps = point.fps("fps");
@@ -63,7 +76,7 @@ fn fps_fast_path_matches_scratch_estimates() {
 fn failing_point_does_not_poison_neighbours() {
     let model = quickstart::model(30.0).expect("builds").into_validated();
     // 10 MFPS leaves less frame time than the digital latency alone.
-    let results = Explorer::parallel().sweep_fps(&model, [30.0, 10_000_000.0, 60.0]);
+    let results = fps_sweep(&Explorer::parallel(), &model, [30.0, 10_000_000.0, 60.0]);
     assert_eq!(results.len(), 3);
     assert_eq!(results.ok_count(), 2);
     assert_eq!(results.error_count(), 1);
@@ -85,12 +98,26 @@ fn failing_point_does_not_poison_neighbours() {
 fn multiple_failures_stay_deterministic() {
     let model = quickstart::model(30.0).expect("builds").into_validated();
     let targets = [30.0, 2_000_000.0, 60.0, 10_000_000.0, 5_000_000.0];
-    let serial = Explorer::serial().sweep_fps(&model, targets);
-    let parallel = Explorer::parallel().sweep_fps(&model, targets);
+    let serial = fps_sweep(&Explorer::serial(), &model, targets);
+    let parallel = fps_sweep(&Explorer::parallel(), &model, targets);
     assert_eq!(serial, parallel);
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     assert_eq!(serial.ok_count(), 2);
     assert_eq!(serial.error_count(), 3);
+}
+
+/// The 64-point frame-rate grids of the quickstart chip (10–73 FPS)
+/// and of the Ed-Gaze 2D-In sensor at 65 nm (10–25.75 FPS, bounded by
+/// its 57.6M-MAC DNN) are feasible at every point.
+#[test]
+fn sixty_four_point_fps_grids_are_fully_feasible() {
+    let quickstart = quickstart::model(30.0).expect("builds");
+    let edgaze = edgaze::model(SensorVariant::TwoDIn, ProcessNode::N65).expect("builds");
+    for (model, step) in [(quickstart, 1.0), (edgaze, 0.25)] {
+        let targets = (0..64).map(|i| 10.0 + step * f64::from(i));
+        let results = fps_sweep(&Explorer::parallel(), &model.into_validated(), targets);
+        assert_eq!(results.ok_count(), 64, "{:?}", results.failures().next());
+    }
 }
 
 proptest! {

@@ -7,10 +7,13 @@
 use camj::core::energy::{CacheStats, EstimateReport};
 use camj::explore::{
     Constraint, DesignPoint, EstimateCache, Explorer, MemoryKind, Objective, ParetoQuery,
-    PointError, ProcessNode, Sweep, SweepResults,
+    PointError, ProcessNode, SearchSpec, Sweep, SweepResults,
 };
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::{edgaze, quickstart, rhythmic};
+
+mod common;
+use common::{edgaze_grid, edgaze_point, grid256};
 
 /// Forces the threaded rayon path. Every test sets the same value, so
 /// concurrent setting is benign.
@@ -73,21 +76,23 @@ fn quickstart_fps_sweep_is_deterministic_and_cached() {
 
 #[test]
 fn edgaze_four_axis_sweep_is_deterministic_and_cached() {
-    let sweep = Sweep::new()
+    let sweep16 = Sweep::new()
         .fps_targets([15.0, 20.0])
         .bit_widths([8, 10])
         .tech_nodes([ProcessNode::N130, ProcessNode::N65])
         .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer]);
-    assert_eq!(sweep.len(), 16);
-    let (results, stats) = assert_three_way_identical(&sweep, edgaze_point);
-    assert_eq!(results.error_count(), 0, "{:?}", results.failures().next());
-    // bit_width and tech_node axes cannot invalidate the elastic
-    // simulation, so at most one simulation per memory kind runs and
-    // the hit rate must be substantial.
-    assert!(
-        stats.hits > stats.misses,
-        "expected a cache-dominated sweep, got {stats}"
-    );
+    for (sweep, points) in [(sweep16, 16), (grid256(), 256)] {
+        assert_eq!(sweep.len(), points);
+        let (results, stats) = assert_three_way_identical(&sweep, edgaze_point);
+        assert_eq!(results.error_count(), 0, "{:?}", results.failures().next());
+        // bit_width and tech_node axes cannot invalidate the elastic
+        // simulation, so at most one simulation per memory kind runs
+        // and the hit rate must be substantial.
+        assert!(
+            stats.hits > stats.misses,
+            "expected a cache-dominated {points}-point sweep, got {stats}"
+        );
+    }
 }
 
 #[test]
@@ -126,29 +131,9 @@ fn infeasible_points_fail_identically_on_every_path() {
     assert_eq!(results.error_count(), 1);
 }
 
-/// Builds the Ed-Gaze 2D-In model a 4-axis grid point describes.
-fn edgaze_point(point: &DesignPoint) -> Result<camj::core::energy::ValidatedModel, PointError> {
-    let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, point.node("tech_node"))
-        .with_adc_bits(point.u32("bit_width"))
-        .with_frame_buffer_kind(point.memory("memory"));
-    edgaze::model_with(config)
-        .map(camj::core::energy::CamJ::into_validated)
-        .map_err(PointError::new)
-}
-
-/// The Ed-Gaze 4-axis grid over `fps` and `bits`: × four CIS nodes ×
-/// both frame-buffer kinds.
-fn edgaze_grid(fps: impl IntoIterator<Item = f64>, bits: impl IntoIterator<Item = u32>) -> Sweep {
-    Sweep::new()
-        .fps_targets(fps)
-        .bit_widths(bits)
-        .tech_nodes([
-            ProcessNode::N130,
-            ProcessNode::N110,
-            ProcessNode::N90,
-            ProcessNode::N65,
-        ])
-        .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer])
+/// The 4096-point grid: 64 frame rates × 8 ADC bit widths × 4 × 2.
+fn grid4096() -> Sweep {
+    edgaze_grid((0..64).map(|i| 10.0 + 0.25 * f64::from(i)), 8..16)
 }
 
 /// Renders the three committed Ed-Gaze 4-axis queries with `explorer`,
@@ -159,8 +144,8 @@ fn edgaze_queries(
     explorer: &Explorer,
     report: impl Fn(&str, CacheStats) -> CacheStats,
 ) -> Vec<(&'static str, String)> {
-    let g256 = edgaze_grid((0..8).map(|i| 10.0 + 2.0 * f64::from(i)), 8..12);
-    let g4096 = edgaze_grid((0..64).map(|i| 10.0 + 0.25 * f64::from(i)), 8..16);
+    let g256 = grid256();
+    let g4096 = grid4096();
     let objectives = || vec![Objective::TotalEnergy, Objective::PowerDensity];
     let mut out = Vec::new();
 
@@ -192,6 +177,16 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
+/// One top-level field of the committed golden of query `name`.
+fn golden_field(name: &str, field: &str) -> serde_json::Value {
+    let golden: serde_json::Value = serde_json::from_str(&golden(name)).expect("golden parses");
+    golden
+        .as_object()
+        .and_then(|fields| fields.get(field))
+        .cloned()
+        .unwrap_or_else(|| panic!("golden {name} has no {field} field"))
+}
+
 /// The Ed-Gaze 4-axis sweep and paretos match goldens captured before
 /// the per-model kernel plan existed, byte for byte: points, frontier,
 /// prune counts, and the cache's hits, misses, entries, and bytes.
@@ -211,12 +206,8 @@ fn edgaze_four_axis_queries_match_the_committed_goldens() {
         );
     }
     let golden_split = |name: &str, stats: CacheStats| {
-        let golden: serde_json::Value = serde_json::from_str(&golden(name)).expect("golden parses");
-        let serial: CacheStats = golden
-            .as_object()
-            .and_then(|fields| fields.get("cache"))
-            .map(|cache| serde_json::from_value(cache).expect("golden cache stats"))
-            .expect("golden has a cache block");
+        let serial: CacheStats =
+            serde_json::from_value(&golden_field(name, "cache")).expect("golden cache stats");
         CacheStats {
             hits: serial.hits,
             misses: serial.misses,
@@ -229,6 +220,47 @@ fn edgaze_four_axis_queries_match_the_committed_goldens() {
             "parallel {name} diverged from tests/golden/edgaze-4axis.{name}.json"
         );
     }
+}
+
+/// The adaptive-search acceptance bar: a seeded search over the
+/// 4096-point grid takes the adaptive path, evaluates at most 15 % of
+/// the grid, and recovers at least 95 % of the exhaustive frontier
+/// committed in `tests/golden/edgaze-4axis.pareto4096.json`.
+#[test]
+fn seeded_search_recovers_the_4096_point_frontier() {
+    let grid = grid4096();
+    let budget = grid.len() * 15 / 100;
+    // Population 32 buys ~18 sequential generations inside the budget;
+    // the default 64 spends too much per generation to walk the whole
+    // frontier ridge before the budget runs out.
+    let spec = SearchSpec::new().seed(0).budget(budget).population(32);
+    let query = ParetoQuery::new(vec![Objective::TotalEnergy, Objective::PowerDensity]);
+    let cache = EstimateCache::shared();
+    let searched = Explorer::parallel().search(&grid, &cache, &query, &spec, edgaze_point);
+    assert!(
+        !searched.exhaustive(),
+        "a 4096-point grid takes the adaptive path"
+    );
+    assert!(
+        searched.evaluations() <= budget,
+        "search evaluated {} of {} points, over its {budget}-point budget",
+        searched.evaluations(),
+        grid.len()
+    );
+
+    let frontier = golden_field("pareto4096", "frontier");
+    let oracle = frontier.as_array().expect("a frontier is an array");
+    let found = searched
+        .pareto()
+        .to_json_rows()
+        .iter()
+        .filter(|row| oracle.contains(row))
+        .count();
+    assert!(
+        found as f64 >= 0.95 * oracle.len() as f64,
+        "search recovered {found} of {} exhaustive frontier points",
+        oracle.len()
+    );
 }
 
 #[test]

@@ -16,17 +16,18 @@ use std::process::Command;
 
 use proptest::prelude::*;
 
-use camj::core::energy::CamJ;
 use camj::explore::{
-    Constraint, DesignPoint, EstimateCache, Explorer, MemoryKind, MetricVector, Objective,
-    ParetoFront, ParetoQuery, PointError, Sweep,
+    Constraint, EstimateCache, Explorer, MemoryKind, MetricVector, Objective, ParetoFront,
+    ParetoQuery, PruneStats, Sweep,
 };
 use camj::tech::node::ProcessNode;
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::edgaze;
 
-/// A 24-point slice of the Ed-Gaze 4-axis acceptance grid (the full
-/// 256-point version runs in the committed sweep bench).
+mod common;
+use common::{edgaze_point, grid256};
+
+/// A 24-point slice of the Ed-Gaze 4-axis acceptance grid.
 fn four_axis_sweep() -> Sweep {
     Sweep::new()
         .fps_targets([10.0, 16.0, 24.0])
@@ -35,37 +36,44 @@ fn four_axis_sweep() -> Sweep {
         .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer])
 }
 
-fn build_point(point: &DesignPoint) -> Result<camj::ValidatedModel, PointError> {
-    let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, point.node("tech_node"))
-        .with_adc_bits(point.u32("bit_width"))
-        .with_frame_buffer_kind(point.memory("memory"));
-    edgaze::model_with(config)
-        .map(CamJ::into_validated)
-        .map_err(PointError::new)
-}
-
+/// The power-density budget of the 24-point slice, in mW/mm².
 const DENSITY_BUDGET: f64 = 0.55;
 
-fn query() -> ParetoQuery {
+fn query(budget: f64) -> ParetoQuery {
     ParetoQuery::new(vec![Objective::TotalEnergy, Objective::PowerDensity])
-        .constrain(Constraint::MaxPowerDensity(DENSITY_BUDGET))
+        .constrain(Constraint::MaxPowerDensity(budget))
 }
 
 #[test]
 fn pruned_frontier_is_bit_identical_to_cold_postfilter() {
-    let sweep = four_axis_sweep();
+    assert_pruned_frontier_matches_postfilter(&four_axis_sweep(), DENSITY_BUDGET);
+    // On the full grid a 0.4 mW/mm² budget cuts most points after the
+    // digital-memory kernel or earlier, skipping over a fifth of all
+    // energy-kernel work.
+    let stats = assert_pruned_frontier_matches_postfilter(&grid256(), 0.4);
+    assert!(
+        stats.skip_fraction() >= 0.20,
+        "pruning must skip >= 20% of energy-kernel work: {stats}"
+    );
+}
+
+/// Asserts that the pruned frontier of `sweep` under a `budget`
+/// power-density constraint is bit-identical to post-filtering a cold
+/// unconstrained sweep, serial and parallel, and returns the prune
+/// statistics (the same in both modes).
+fn assert_pruned_frontier_matches_postfilter(sweep: &Sweep, budget: f64) -> PruneStats {
     // Cold reference: unconstrained incremental sweep (itself proven
     // bit-identical to per-point staged estimation in
     // tests/incremental.rs), post-filtered through the same constraint
     // and dominance filter.
     let cache = EstimateCache::shared();
-    let full = Explorer::serial().sweep_incremental(&sweep, &cache, build_point);
+    let full = Explorer::serial().sweep_incremental(sweep, &cache, edgaze_point);
     assert_eq!(full.error_count(), 0, "grid must be fully feasible");
-    let q = query();
+    let q = query(budget);
     let mut reference = ParetoFront::new(q.objectives().to_vec());
     let mut feasible = 0usize;
     for (point, report) in full.successes() {
-        if report.peak_power_density_mw_per_mm2().unwrap_or(0.0) <= DENSITY_BUDGET {
+        if report.peak_power_density_mw_per_mm2().unwrap_or(0.0) <= budget {
             feasible += 1;
             reference.insert(point.clone(), MetricVector::measure(q.objectives(), report));
         }
@@ -76,9 +84,10 @@ fn pruned_frontier_is_bit_identical_to_cold_postfilter() {
         full.len()
     );
 
+    let mut stats = PruneStats::default();
     for explorer in [Explorer::serial(), Explorer::parallel()] {
         let cache = EstimateCache::shared();
-        let results = explorer.pareto(&sweep, &cache, &q, build_point);
+        let results = explorer.pareto(sweep, &cache, &q, edgaze_point);
         assert_eq!(
             results.frontier().len(),
             reference.frontier().len(),
@@ -104,20 +113,22 @@ fn pruned_frontier_is_bit_identical_to_cold_postfilter() {
             "an active budget must skip kernels: {}",
             results.stats()
         );
+        stats = *results.stats();
     }
+    stats
 }
 
 #[test]
 fn serial_and_parallel_pareto_agree_exactly() {
     let sweep = four_axis_sweep();
-    let q = query();
+    let q = query(DENSITY_BUDGET);
     let serial = {
         let cache = EstimateCache::shared();
-        Explorer::serial().pareto(&sweep, &cache, &q, build_point)
+        Explorer::serial().pareto(&sweep, &cache, &q, edgaze_point)
     };
     let parallel = {
         let cache = EstimateCache::shared();
-        Explorer::parallel().pareto(&sweep, &cache, &q, build_point)
+        Explorer::parallel().pareto(&sweep, &cache, &q, edgaze_point)
     };
     assert_eq!(serial, parallel);
 }
@@ -164,7 +175,8 @@ fn unconstrained_pareto_matches_plain_sweep_totals() {
     // off: the whole grid is the frontier.
     assert_eq!(results.frontier().len(), 3);
     assert_eq!(results.stats().kernels_skipped, 0);
-    let plain = Explorer::serial().sweep_fps(&model, [10.0, 16.0, 24.0]);
+    let plain = Explorer::serial()
+        .sweep_incremental(&sweep, &EstimateCache::shared(), |_| Ok(model.clone()));
     for (entry, (_, report)) in results.frontier().iter().zip(plain.successes()) {
         assert_eq!(
             entry.metrics.values()[0].to_bits(),

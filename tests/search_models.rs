@@ -19,35 +19,13 @@ use camj::core::hw::{AnalogCategory, AnalogUnitDesc, HardwareDesc, Layer};
 use camj::core::mapping::Mapping;
 use camj::core::sw::{AlgorithmGraph, Stage};
 use camj::explore::{
-    Constraint, DesignPoint, EstimateCache, Explorer, MemoryKind, Objective, ParetoQuery,
-    PointError, ProcessNode, SearchResults, SearchSpec, Sweep,
+    Constraint, DesignPoint, EstimateCache, Explorer, Objective, ParetoQuery, PointError,
+    SearchResults, SearchSpec, Sweep,
 };
-use camj::workloads::configs::{self, SensorVariant};
-use camj::workloads::edgaze;
+use camj::workloads::configs;
 
-/// 8 fps × 4 ADC bit widths × 4 CIS nodes × 2 frame buffers: 256
-/// points in 32 rebuild combinations.
-fn grid() -> Sweep {
-    Sweep::new()
-        .fps_targets((0..8).map(|i| 10.0 + 2.0 * f64::from(i)))
-        .bit_widths(8..12)
-        .tech_nodes([
-            ProcessNode::N130,
-            ProcessNode::N110,
-            ProcessNode::N90,
-            ProcessNode::N65,
-        ])
-        .memory_kinds([MemoryKind::DoubleBuffer, MemoryKind::LineBuffer])
-}
-
-fn build(point: &DesignPoint) -> Result<ValidatedModel, PointError> {
-    let config = edgaze::EdGazeConfig::new(SensorVariant::TwoDIn, point.node("tech_node"))
-        .with_adc_bits(point.u32("bit_width"))
-        .with_frame_buffer_kind(point.memory("memory"));
-    edgaze::model_with(config)
-        .map(CamJ::into_validated)
-        .map_err(PointError::new)
-}
+mod common;
+use common::{edgaze_point, grid256};
 
 /// The point's model-rebuilding coordinates (everything but fps).
 fn rebuild_combination(point: &DesignPoint) -> String {
@@ -72,13 +50,13 @@ fn search(explorer: &Explorer) -> (SearchResults, CacheStats, HashMap<String, us
         .budget(96)
         .exhaustive_below(0);
     let cache = EstimateCache::shared();
-    let results = explorer.search(&grid(), &cache, &query, &spec, |point| {
+    let results = explorer.search(&grid256(), &cache, &query, &spec, |point| {
         *builds
             .lock()
             .unwrap()
             .entry(rebuild_combination(point))
             .or_default() += 1;
-        build(point)
+        edgaze_point(point)
     });
     assert!(!results.exhaustive());
     assert!(
