@@ -697,7 +697,8 @@ impl StimulusIr {
     /// [`Stimulus`](camj_core::functional::Stimulus), loading image
     /// pixel data from disk. A relative image path is resolved against
     /// `base_dir` (in practice the description file's directory), so a
-    /// design and its stimulus travel together.
+    /// design and its stimulus travel together; the stimulus is still
+    /// labelled with the path as the description writes it.
     ///
     /// # Errors
     ///
@@ -741,8 +742,14 @@ impl StimulusIr {
                     Some(dir) if file.is_relative() => dir.join(file),
                     _ => file.to_path_buf(),
                 };
-                Stimulus::image_from_path(&resolved)
-                    .map_err(|e| invalid("stimulus.image.path", e, quoted(path)))
+                let mut stimulus = Stimulus::image_from_path(&resolved)
+                    .map_err(|e| invalid("stimulus.image.path", e, quoted(path)))?;
+                // Labelled by the path as written, so the label does not
+                // depend on where the description was loaded from.
+                if let Stimulus::Image { path: label, .. } = &mut stimulus {
+                    label.clone_from(path);
+                }
+                Ok(stimulus)
             }
         }
     }

@@ -16,8 +16,8 @@ use camj_tech::units::Energy;
 use crate::axis::AxisValue;
 use crate::objective::MetricVector;
 use crate::pareto::{ParetoFront, ParetoQuery, ParetoResults, PrunedPoint};
-use crate::plan::SweepPlan;
-use crate::prune::{Constraint, PruneStats};
+use crate::plan::{group_points, GridKeys};
+use crate::prune::{Constraint, ConstraintSet, PruneStats};
 use crate::sweep::{DesignPoint, Sweep};
 
 /// How a sweep's points are evaluated.
@@ -249,16 +249,6 @@ impl Explorer {
         R: Send,
         F: Fn(&DesignPoint) -> Result<R, PointError> + Sync,
     {
-        self.run_points(sweep.points(), eval)
-    }
-
-    /// Like [`Self::run`], over an explicit point list (e.g. a filtered
-    /// or hand-built grid).
-    pub fn run_points<R, F>(&self, points: Vec<DesignPoint>, eval: F) -> SweepResults<R>
-    where
-        R: Send,
-        F: Fn(&DesignPoint) -> Result<R, PointError> + Sync,
-    {
         let evaluate = |point: DesignPoint| -> PointOutcome<R> {
             let result =
                 catch_unwind(AssertUnwindSafe(|| eval(&point))).unwrap_or_else(|payload| {
@@ -270,15 +260,15 @@ impl Explorer {
             PointOutcome { point, result }
         };
         let outcomes: Vec<PointOutcome<R>> = match self.mode {
-            ExecutionMode::Serial => points.into_iter().map(evaluate).collect(),
-            ExecutionMode::Parallel => points.into_par_iter().map(evaluate).collect(),
+            ExecutionMode::Serial => sweep.points().into_iter().map(evaluate).collect(),
+            ExecutionMode::Parallel => sweep.points().into_par_iter().map(evaluate).collect(),
         };
         SweepResults { outcomes }
     }
 
-    /// The cross-point incremental sweep: plans the grid with
-    /// [`SweepPlan`] (heaviest axes slowest, points grouped by their
-    /// model-rebuilding coordinates), builds **one** [`ValidatedModel`]
+    /// The cross-point incremental sweep: plans the grid (heaviest axes
+    /// slowest, points grouped by their model-rebuilding coordinates;
+    /// see [`axis_impact`](crate::axis_impact)), builds **one** [`ValidatedModel`]
     /// per group via `build`, attaches the shared [`EstimateCache`] to
     /// every model, and runs only the FPS-dependent pipeline tail per
     /// point.
@@ -336,10 +326,11 @@ impl Explorer {
     where
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
     {
-        self.run_grouped(
-            sweep,
+        self.run_groups(
+            group_points(&GridKeys::for_sweep(sweep), sweep.points()),
             cache,
-            build,
+            &build,
+            &build,
             |model, points| warm_stall(model, points, |_| true),
             |model, point| {
                 match point.get("fps").and_then(AxisValue::as_f64) {
@@ -385,10 +376,11 @@ impl Explorer {
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
     {
         let constraints = query.constraints();
-        let results = self.run_grouped(
-            sweep,
+        let results = self.run_groups(
+            group_points(&GridKeys::for_sweep(sweep), sweep.points()),
             cache,
-            build,
+            &build,
+            &build,
             |model, points| {
                 // Pre-warm only at frame rates whose delay split the
                 // constraints admit: a delay-pruned point never runs
@@ -406,42 +398,14 @@ impl Explorer {
         acc.finish()
     }
 
-    /// The shared engine of [`Self::sweep_incremental`] and
-    /// [`Self::pareto`]: plans the grid, builds one cache-attached
-    /// model per rebuild group (falling back to per-point builds when
-    /// the representative build fails), runs `warm` once per healthy
-    /// group, evaluates `eval` per point with panic capture, and
-    /// returns outcomes in grid order.
-    fn run_grouped<R, F, W, E>(
-        &self,
-        sweep: &Sweep,
-        cache: &Arc<EstimateCache>,
-        build: F,
-        warm: W,
-        eval: E,
-    ) -> SweepResults<R>
-    where
-        R: Send,
-        F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
-        W: Fn(&ValidatedModel, &[DesignPoint]) + Sync,
-        E: Fn(&ValidatedModel, &DesignPoint) -> Result<R, PointError> + Sync,
-    {
-        self.run_groups(
-            SweepPlan::new(sweep).into_groups(),
-            cache,
-            &build,
-            &build,
-            warm,
-            eval,
-        )
-    }
-
-    /// Like [`Self::run_grouped`], over pre-formed model-sharing groups
-    /// (see [`crate::plan::group_points`]) — the evaluation engine
-    /// adaptive search feeds its candidate batches through. `model_for`
-    /// supplies each group's model from its representative point (a
-    /// plain build, or adaptive search's memo); the per-point fallback
-    /// after a failed representative always calls `build`.
+    /// The shared engine of [`Self::sweep_incremental`],
+    /// [`Self::pareto`] and adaptive search: over model-sharing groups
+    /// (see [`crate::plan::group_points`]), builds one cache-attached
+    /// model per group with `model_for` from its representative point
+    /// (a plain build, or adaptive search's memo), falling back to
+    /// per-point `build`s when that fails; runs `warm` once per healthy
+    /// group, evaluates `eval` per point with panic capture, and returns
+    /// outcomes in grid order.
     pub(crate) fn run_groups<R, M, F, W, E>(
         &self,
         groups: Vec<Vec<DesignPoint>>,
@@ -547,31 +511,43 @@ pub(crate) fn gated_point_eval(
     point: &DesignPoint,
     query: &crate::pareto::ParetoQuery,
 ) -> Result<PointEval, PointError> {
-    let constraints = query.constraints();
+    match run_gated(model, point, query.constraints(), usize::MAX)? {
+        (GatedEstimate::Complete(report), _) => Ok(PointEval::Complete(measure_point(
+            query.objectives(),
+            &report,
+            model,
+        )?)),
+        (GatedEstimate::Pruned { kernels_done, .. }, fired) => Ok(PointEval::Pruned {
+            constraint: fired.expect("the gate only stops on a violation"),
+            kernels_done,
+        }),
+    }
+}
+
+/// Runs `point` through the constraint-gated pipeline at its frame rate
+/// (the model's own without an `fps` axis), stopping at the first
+/// violated constraint — returned alongside the outcome — or once
+/// `kernel_cap` energy kernels have run.
+pub(crate) fn run_gated(
+    model: &ValidatedModel,
+    point: &DesignPoint,
+    constraints: &ConstraintSet,
+    kernel_cap: usize,
+) -> Result<(GatedEstimate, Option<Constraint>), PointError> {
     let fps = point
         .get("fps")
         .and_then(AxisValue::as_f64)
         .unwrap_or_else(|| model.fps());
-    let mut fired: Option<Constraint> = None;
+    let mut fired = None;
     let outcome =
         model.estimate_at_fps_gated(fps, |ctx| match constraints.first_violated(model, ctx) {
             Some(c) => {
                 fired = Some(c);
                 false
             }
-            None => true,
+            None => ctx.kernels_done < kernel_cap,
         });
-    match outcome.map_err(PointError::from)? {
-        GatedEstimate::Complete(report) => Ok(PointEval::Complete(measure_point(
-            query.objectives(),
-            &report,
-            model,
-        )?)),
-        GatedEstimate::Pruned { kernels_done, .. } => Ok(PointEval::Pruned {
-            constraint: fired.expect("the gate only stops on a violation"),
-            kernels_done,
-        }),
-    }
+    Ok((outcome.map_err(PointError::from)?, fired))
 }
 
 /// A serial accumulator folding gated point outcomes into a

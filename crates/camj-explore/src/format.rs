@@ -15,7 +15,7 @@ use serde_json::{Map, Number, Value};
 use camj_core::energy::{CacheStats, EstimateReport};
 
 use crate::axis::AxisValue;
-use crate::explorer::SweepResults;
+use crate::explorer::{PointOutcome, SweepResults};
 use crate::pareto::ParetoResults;
 use crate::search::SearchResults;
 
@@ -94,45 +94,46 @@ fn cache_json(cache: Option<&CacheStats>) -> Value {
     }
 }
 
+/// One sweep point as a JSON object: one key per axis, then the
+/// headline metrics and the error (see [`SweepResults::to_json_rows`]).
+fn point_row(outcome: &PointOutcome<EstimateReport>) -> Value {
+    let mut row = Map::new();
+    for (axis, value) in outcome.point.coords() {
+        row.insert(axis, axis_value_json(value));
+    }
+    match &outcome.result {
+        Ok(report) => {
+            row.insert(
+                "total_pj",
+                Value::Number(Number::from_f64(report.total().picojoules())),
+            );
+            row.insert(
+                "per_pixel_pj",
+                Value::Number(Number::from_f64(report.energy_per_pixel().picojoules())),
+            );
+            row.insert(
+                "frame_ms",
+                Value::Number(Number::from_f64(report.delay.frame_time.millis())),
+            );
+            row.insert("error", Value::Null);
+        }
+        Err(e) => {
+            row.insert("total_pj", Value::Null);
+            row.insert("per_pixel_pj", Value::Null);
+            row.insert("frame_ms", Value::Null);
+            row.insert("error", Value::String(e.message().to_owned()));
+        }
+    }
+    Value::Object(row)
+}
+
 impl SweepResults<EstimateReport> {
     /// The per-point rows as JSON objects: one key per axis, then
     /// `total_pj`, `per_pixel_pj`, `frame_ms`, and `error` (`null` on
     /// success; the metrics are `null` on failure).
     #[must_use]
     pub fn to_json_rows(&self) -> Vec<Value> {
-        self.outcomes()
-            .iter()
-            .map(|outcome| {
-                let mut row = Map::new();
-                for (axis, value) in outcome.point.coords() {
-                    row.insert(axis.clone(), axis_value_json(value));
-                }
-                match &outcome.result {
-                    Ok(report) => {
-                        row.insert(
-                            "total_pj",
-                            Value::Number(Number::from_f64(report.total().picojoules())),
-                        );
-                        row.insert(
-                            "per_pixel_pj",
-                            Value::Number(Number::from_f64(report.energy_per_pixel().picojoules())),
-                        );
-                        row.insert(
-                            "frame_ms",
-                            Value::Number(Number::from_f64(report.delay.frame_time.millis())),
-                        );
-                        row.insert("error", Value::Null);
-                    }
-                    Err(e) => {
-                        row.insert("total_pj", Value::Null);
-                        row.insert("per_pixel_pj", Value::Null);
-                        row.insert("frame_ms", Value::Null);
-                        row.insert("error", Value::String(e.message().to_owned()));
-                    }
-                }
-                Value::Object(row)
-            })
-            .collect()
+        self.outcomes().iter().map(point_row).collect()
     }
 
     /// The whole sweep as a pretty-printed JSON object: the per-point
@@ -144,12 +145,30 @@ impl SweepResults<EstimateReport> {
     ///
     /// Panics if a report contains a non-finite number — estimation
     /// never produces one, so this indicates a model bug.
+    ///
+    /// Rows are built and printed one at a time, so a large sweep never
+    /// holds every row's value tree at once. The text is exactly what
+    /// pretty-printing the whole tree gives: JSON escapes every newline
+    /// inside a value, so a nested value's lines are its own pretty text
+    /// indented by its depth.
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
-        let mut out = Map::new();
-        out.insert("points", Value::Array(self.to_json_rows()));
-        out.insert("cache", cache_json(cache));
-        serde_json::to_string_pretty(&Value::Object(out)).expect("sweep metrics are finite")
+        let push_nested = |out: &mut String, value: &Value, newline: &str| {
+            let text = serde_json::to_string_pretty(value).expect("sweep metrics are finite");
+            out.push_str(&text.replace('\n', newline));
+        };
+        let mut out = String::from("{\n  \"points\": [");
+        for (i, outcome) in self.outcomes().iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            push_nested(&mut out, &point_row(outcome), "\n    ");
+        }
+        if !self.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str("],\n  \"cache\": ");
+        push_nested(&mut out, &cache_json(cache), "\n  ");
+        out.push_str("\n}");
+        out
     }
 
     /// The whole sweep as CSV: a header of axis names plus
@@ -162,13 +181,7 @@ impl SweepResults<EstimateReport> {
         let Some(first) = self.outcomes().first() else {
             return out;
         };
-        let axes: Vec<&str> = first
-            .point
-            .coords()
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .collect();
-        for axis in &axes {
+        for (axis, _) in first.point.coords() {
             out.push_str(&csv_field(axis));
             out.push(',');
         }
@@ -219,7 +232,7 @@ impl ParetoResults {
             .map(|entry| {
                 let mut row = Map::new();
                 for (axis, value) in entry.point.coords() {
-                    row.insert(axis.clone(), axis_value_json(value));
+                    row.insert(axis, axis_value_json(value));
                 }
                 for (key, value) in keys.iter().zip(entry.metrics.values()) {
                     row.insert(key.clone(), Value::Number(Number::from_f64(*value)));
@@ -382,6 +395,39 @@ mod tests {
             assert_eq!(format.to_string(), text);
         }
         assert!("yaml".parse::<SweepFormat>().is_err());
+    }
+
+    #[test]
+    fn streamed_sweep_json_matches_the_whole_tree() {
+        use crate::{Explorer, PointError, Sweep};
+        let model = camj_workloads::quickstart::model(30.0)
+            .expect("quickstart builds")
+            .into_validated();
+        let eval = |point: &crate::DesignPoint| {
+            if point.u32("bit_width") == 8 {
+                Err(PointError::new("bad \"bits\"\non two lines"))
+            } else {
+                model.estimate().map_err(PointError::from)
+            }
+        };
+        let whole = |results: &SweepResults<EstimateReport>, cache: Option<&CacheStats>| {
+            let mut out = Map::new();
+            out.insert("points", Value::Array(results.to_json_rows()));
+            out.insert("cache", cache_json(cache));
+            serde_json::to_string_pretty(&Value::Object(out)).expect("finite")
+        };
+        let sweep = Sweep::new()
+            .bit_widths([4, 8])
+            .labels("variant", ["2D \"In\"\n"]);
+        let stats = CacheStats::default();
+        for results in [
+            Explorer::serial().run(&sweep, eval),
+            Explorer::serial().run(&Sweep::new(), eval),
+        ] {
+            for cache in [None, Some(&stats)] {
+                assert_eq!(results.to_json(cache), whole(&results, cache));
+            }
+        }
     }
 
     #[test]

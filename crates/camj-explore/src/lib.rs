@@ -12,7 +12,8 @@
 //!    FPS targets, free-form labels …).
 //! 2. **Generate the grid**: [`Sweep::points`] takes the cartesian
 //!    product, producing one [`DesignPoint`] per combination in a
-//!    stable row-major order.
+//!    stable row-major order. A point is its grid index plus a shared
+//!    handle to the sweep's axes; its coordinates resolve on demand.
 //! 3. **Evaluate in parallel** with [`Explorer::run`]: your closure
 //!    builds and estimates a model per point; the explorer fans the
 //!    grid out across cores (rayon), captures each point's
@@ -27,11 +28,10 @@
 //! `|_| Ok(model.clone())` — where checks, routing, and the elastic
 //! cycle-level simulation run **once** and only the FPS-dependent
 //! stages (delay solve, stall check, energy) re-run per point. In
-//! general, it plans the grid with [`SweepPlan`] — each axis declares
-//! which pipeline artifacts it can invalidate ([`axis_impact`]), the
-//! most-invalidating axes vary slowest, and
-//! points sharing every model-rebuilding coordinate build **one**
-//! model — then threads a content-addressed [`EstimateCache`] through
+//! general, it plans the grid — each axis declares which pipeline
+//! artifacts it can invalidate ([`axis_impact`]), the most-invalidating
+//! axes vary slowest, and points sharing every model-rebuilding
+//! coordinate build **one** model — then threads a content-addressed [`EstimateCache`] through
 //! every point, so elastic simulations, stall verdicts, and energy
 //! kernels are computed once per distinct fingerprint instead of once
 //! per point. Results stay byte-identical to a cold sweep, in grid
@@ -120,7 +120,7 @@ pub use objective::{MetricVector, Objective};
 pub use pareto::{
     DominatedEntry, ParetoEntry, ParetoFront, ParetoQuery, ParetoResults, PrunedPoint,
 };
-pub use plan::{axis_impact, axis_requires_rebuild, KernelSet, SweepPlan};
+pub use plan::{axis_impact, axis_requires_rebuild, KernelSet};
 pub use prune::{Constraint, ConstraintSet, PruneStats};
 pub use search::{SearchResults, SearchSpec};
 pub use sweep::{DesignPoint, Sweep};

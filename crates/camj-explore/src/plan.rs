@@ -8,7 +8,7 @@
 //! the simulation; a bit-width axis touches analog energy but not the
 //! digital dataflow; a technology-node axis rescales energies but not
 //! the simulated topology. [`axis_impact`] encodes that knowledge as a
-//! [`KernelSet`], and [`SweepPlan`] uses it to:
+//! [`KernelSet`], and the planner ([`group_points`]) uses it to:
 //!
 //! 1. **order the grid** so the most-invalidating axes vary slowest —
 //!    consecutive points then share the longest possible prefix of
@@ -30,7 +30,7 @@ use std::fmt;
 use camj_digital::memory::MemoryKind;
 
 use crate::axis::AxisValue;
-use crate::sweep::{DesignPoint, Sweep};
+use crate::sweep::{DesignPoint, Digit, Sweep};
 
 /// A set of estimation artifacts (pipeline rungs + energy kernels) that
 /// a sweep axis can invalidate.
@@ -214,20 +214,6 @@ fn canonical_indices(values: &[AxisValue]) -> Vec<usize> {
         .collect()
 }
 
-/// An evaluation plan for a sweep: the grid re-ordered for maximal
-/// artifact reuse and partitioned into model-sharing groups.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    /// Axis names in evaluation order, slowest-varying first.
-    axis_order: Vec<String>,
-    /// Number of leading axes in `axis_order` that rebuild the model.
-    rebuild_axes: usize,
-    /// Contiguous groups of points sharing all rebuild-axis
-    /// coordinates, in evaluation order. Points keep their original
-    /// grid indices.
-    groups: Vec<Vec<DesignPoint>>,
-}
-
 /// The planned axis ordering of `sweep`: axis indices sorted by
 /// descending invalidation weight (model-rebuilding axes first, ties
 /// broken by declaration order), plus the count of leading axes that
@@ -272,36 +258,24 @@ pub(crate) struct GridKeys {
 /// One axis's place in the packed key.
 #[derive(Debug)]
 struct KeyDigit {
-    /// Row-major stride of the axis's value index in a grid index.
-    stride: usize,
-    /// Number of values on the axis.
-    len: usize,
-    /// The digit's weight in the packed key.
-    weight: usize,
+    /// The axis's digit in the grid index.
+    digit: Digit,
     /// Value index → index of the first identical value.
     canonical: Vec<usize>,
 }
 
 impl GridKeys {
-    /// Key arithmetic for `sweep` under `order` (see [`planned_order`]).
-    fn new(sweep: &Sweep, order: &[usize], rebuild_axes: usize) -> Self {
+    /// Keys for the planned ordering of `sweep` (see [`planned_order`]).
+    pub(crate) fn for_sweep(sweep: &Sweep) -> Self {
+        let (order, rebuild_axes) = planned_order(sweep);
         let axes = sweep.axes();
-        let mut strides = vec![1usize; axes.len()];
-        for i in (0..axes.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * axes[i + 1].len();
-        }
-        let mut digits = Vec::with_capacity(order.len());
-        let mut weight = 1usize;
-        for &i in order.iter().rev() {
-            digits.push(KeyDigit {
-                stride: strides[i],
-                len: axes[i].len(),
-                weight,
+        let digits = order
+            .iter()
+            .map(|&i| KeyDigit {
+                digit: sweep.digit(i),
                 canonical: canonical_indices(axes[i].values()),
-            });
-            weight *= axes[i].len();
-        }
-        digits.reverse();
+            })
+            .collect();
         let tail_span = order[rebuild_axes..]
             .iter()
             .map(|&i| axes[i].len())
@@ -309,18 +283,11 @@ impl GridKeys {
         Self { digits, tail_span }
     }
 
-    /// Keys for the planned ordering of `sweep`.
-    pub(crate) fn for_sweep(sweep: &Sweep) -> Self {
-        let (order, rebuild_axes) = planned_order(sweep);
-        Self::new(sweep, &order, rebuild_axes)
-    }
-
     /// The evaluation key of grid index `index`.
     fn key(&self, index: usize) -> usize {
-        self.digits
-            .iter()
-            .map(|d| d.canonical[index / d.stride % d.len] * d.weight)
-            .sum()
+        self.digits.iter().fold(0, |key, d| {
+            key * d.digit.len() + d.canonical[d.digit.of(index)]
+        })
     }
 
     /// The rebuild-prefix key of grid index `index`: equal exactly for
@@ -328,104 +295,41 @@ impl GridKeys {
     pub(crate) fn rebuild_key(&self, index: usize) -> usize {
         self.key(index) / self.tail_span
     }
-
-    /// Sorts `(index, item)` pairs into evaluation order (stable, so
-    /// identically keyed items keep their input order) and partitions
-    /// them into groups sharing every rebuild coordinate.
-    fn group<T>(&self, items: impl Iterator<Item = (usize, T)>) -> Vec<Vec<T>> {
-        let mut keyed: Vec<(usize, T)> = items.map(|(index, t)| (self.key(index), t)).collect();
-        keyed.sort_by_key(|&(key, _)| key);
-        let mut groups: Vec<Vec<T>> = Vec::new();
-        let mut current = None;
-        for (key, item) in keyed {
-            let prefix = key / self.tail_span;
-            if current != Some(prefix) {
-                groups.push(Vec::new());
-                current = Some(prefix);
-            }
-            groups.last_mut().expect("group pushed above").push(item);
-        }
-        groups
-    }
 }
 
-/// Groups an arbitrary subset of `sweep`'s grid exactly the way
-/// [`SweepPlan::new`] groups the full grid: evaluation order along the
-/// planned axis ordering, one group per distinct combination of
-/// model-rebuilding coordinates. Adaptive search uses this to batch a
-/// candidate generation so each batch builds one model per rebuild
-/// combination instead of one per point. Points are keyed by their
-/// [`DesignPoint::index`].
+/// Plans `points` of `keys`' sweep: sorts them into evaluation order
+/// along the planned axis ordering (axes by descending invalidation
+/// weight, model-rebuilding axes first, ties broken by declaration
+/// order; stable, so identically keyed points keep their input order)
+/// and partitions them into one group per distinct combination of
+/// model-rebuilding coordinates. The explorer's incremental paths group
+/// the full grid this way; adaptive search groups each candidate batch,
+/// so it builds one model per rebuild combination instead of one per
+/// point. Points are keyed by their [`DesignPoint::index`].
 pub(crate) fn group_points(keys: &GridKeys, points: Vec<DesignPoint>) -> Vec<Vec<DesignPoint>> {
     let _span = obs_core::span("explore.plan");
-    keys.group(points.into_iter().map(|point| (point.index, point)))
-}
-
-impl SweepPlan {
-    /// Plans `sweep`: orders axes by descending invalidation weight
-    /// (model-rebuilding axes first, ties broken by declaration order)
-    /// and groups points sharing every rebuild coordinate. Points are
-    /// keyed by index arithmetic and materialised once, in evaluation
-    /// order.
-    #[must_use]
-    pub fn new(sweep: &Sweep) -> Self {
-        let _span = obs_core::span("explore.plan");
-        let (order, rebuild_axes) = planned_order(sweep);
-        let keys = GridKeys::new(sweep, &order, rebuild_axes);
-        let groups = keys
-            .group((0..sweep.len()).map(|index| (index, index)))
-            .into_iter()
-            .map(|group| group.into_iter().map(|i| sweep.point_at(i)).collect())
-            .collect();
-        let axes = sweep.axes();
-        Self {
-            axis_order: order.iter().map(|&i| axes[i].name().to_owned()).collect(),
-            rebuild_axes,
-            groups,
+    let mut keyed: Vec<(usize, DesignPoint)> = points
+        .into_iter()
+        .map(|point| (keys.key(point.index), point))
+        .collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    let mut groups: Vec<Vec<DesignPoint>> = Vec::new();
+    let mut current = None;
+    for (key, point) in keyed {
+        let prefix = key / keys.tail_span;
+        if current != Some(prefix) {
+            groups.push(Vec::new());
+            current = Some(prefix);
         }
+        groups.last_mut().expect("group pushed above").push(point);
     }
-
-    /// Axis names in evaluation order, slowest-varying first.
-    #[must_use]
-    pub fn axis_order(&self) -> &[String] {
-        &self.axis_order
-    }
-
-    /// Number of leading axes in [`Self::axis_order`] whose coordinates
-    /// force a model rebuild.
-    #[must_use]
-    pub fn rebuild_axes(&self) -> usize {
-        self.rebuild_axes
-    }
-
-    /// The model-sharing point groups, in evaluation order.
-    #[must_use]
-    pub fn groups(&self) -> &[Vec<DesignPoint>] {
-        &self.groups
-    }
-
-    /// Consumes the plan into its groups.
-    #[must_use]
-    pub fn into_groups(self) -> Vec<Vec<DesignPoint>> {
-        self.groups
-    }
-
-    /// Total number of planned points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::testing::{random_sweep, Draw};
     use camj_tech::node::ProcessNode;
     use proptest::prelude::*;
 
@@ -475,51 +379,6 @@ mod tests {
             .collect()
     }
 
-    /// SplitMix64 — the test's own draw stream from one proptest seed.
-    struct Draw(u64);
-
-    impl Draw {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-
-        /// `len` picks from `pool` (small pools make duplicates likely).
-        fn picks<T: Clone>(&mut self, pool: &[T], len: usize) -> Vec<T> {
-            (0..len)
-                .map(|_| pool[self.below(pool.len())].clone())
-                .collect()
-        }
-    }
-
-    /// A random sweep of 1–4 axes, 1–5 values each, drawn from small
-    /// value pools: duplicates on every axis kind, NaN and signed-zero
-    /// frame rates, and an unknown (rebuild-everything) label axis.
-    fn random_sweep(draw: &mut Draw) -> Sweep {
-        let mut names = vec!["fps", "bit_width", "tech_node", "memory", "variant"];
-        let mut sweep = Sweep::new();
-        for _ in 0..=draw.below(4) {
-            let name = names.remove(draw.below(names.len()));
-            let len = 1 + draw.below(5);
-            sweep = match name {
-                "fps" => sweep.fps_targets(draw.picks(&[10.0, 30.0, f64::NAN, 0.0, -0.0], len)),
-                "bit_width" => sweep.bit_widths(draw.picks(&[8, 10, 12], len)),
-                "tech_node" => sweep.tech_nodes(draw.picks(
-                    &[ProcessNode::N65, ProcessNode::N130, ProcessNode::N22],
-                    len,
-                )),
-                "memory" => sweep.memory_kinds(
-                    draw.picks(&[MemoryKind::DoubleBuffer, MemoryKind::LineBuffer], len),
-                ),
-                _ => sweep.labels(name, draw.picks(&["a", "b", "c"], len)),
-            };
-        }
-        sweep
-    }
-
     proptest! {
         /// Index-arithmetic planning reproduces the coordinate-scanning
         /// planner exactly — group membership, group order, and the
@@ -529,12 +388,12 @@ mod tests {
         fn planner_matches_the_position_scan_oracle(seed in 0u64..u64::MAX) {
             let mut draw = Draw(seed);
             let sweep = random_sweep(&mut draw);
-            let plan = SweepPlan::new(&sweep);
+            let keys = GridKeys::for_sweep(&sweep);
+            let plan = group_points(&keys, sweep.points());
             prop_assert_eq!(
-                indices(plan.groups()),
+                indices(&plan),
                 indices(&oracle_groups(&sweep, sweep.points()))
             );
-            let keys = GridKeys::for_sweep(&sweep);
             let mut subset: Vec<DesignPoint> = sweep
                 .points()
                 .into_iter()
@@ -549,11 +408,10 @@ mod tests {
             );
             for index in 0..sweep.len() {
                 let group = plan
-                    .groups()
                     .iter()
                     .position(|g| g.iter().any(|p| p.index == index))
                     .expect("every point is planned");
-                let head = plan.groups()[group][0].index;
+                let head = plan[group][0].index;
                 prop_assert_eq!(keys.rebuild_key(index), keys.rebuild_key(head));
             }
         }
@@ -587,11 +445,11 @@ mod tests {
             .fps_targets([15.0, 30.0])
             .bit_widths([4, 8])
             .tech_nodes([ProcessNode::N65, ProcessNode::N22]);
-        let plan = SweepPlan::new(&sweep);
+        let keys = GridKeys::for_sweep(&sweep);
+        let plan = group_points(&keys, sweep.points());
         // fps is a tail axis: 4 rebuild combos × 2 fps points each.
-        assert_eq!(plan.groups().len(), 4);
-        assert_eq!(plan.len(), sweep.len());
-        for group in plan.groups() {
+        assert_eq!(plan.len(), 4);
+        for group in &plan {
             assert_eq!(group.len(), 2);
             let first = &group[0];
             for point in group {
@@ -600,21 +458,9 @@ mod tests {
             }
         }
         // Every original index appears exactly once.
-        let mut seen: Vec<usize> = plan.groups().iter().flatten().map(|p| p.index).collect();
+        let mut seen: Vec<usize> = plan.iter().flatten().map(|p| p.index).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..sweep.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn subset_grouping_matches_the_full_plan() {
-        let sweep = Sweep::new()
-            .fps_targets([15.0, 30.0])
-            .bit_widths([4, 8])
-            .tech_nodes([ProcessNode::N65, ProcessNode::N22]);
-        // The full grid through group_points reproduces the plan.
-        let plan = SweepPlan::new(&sweep);
-        let keys = GridKeys::for_sweep(&sweep);
-        assert_eq!(group_points(&keys, sweep.points()), plan.groups());
         // A subset groups by the same rebuild coordinates.
         let subset: Vec<DesignPoint> = sweep
             .points()
@@ -642,18 +488,16 @@ mod tests {
                 crate::MemoryKind::LineBuffer,
             ])
             .bit_widths([4, 8]);
-        let plan = SweepPlan::new(&sweep);
         // memory invalidates more than bit_width; fps is the tail.
-        assert_eq!(plan.axis_order(), ["memory", "bit_width", "fps"]);
-        assert_eq!(plan.rebuild_axes(), 2);
+        assert_eq!(planned_order(&sweep), (vec![1, 2, 0], 2));
     }
 
     #[test]
     fn pure_fps_sweep_is_one_group() {
         let sweep = Sweep::new().fps_targets([10.0, 20.0, 30.0]);
-        let plan = SweepPlan::new(&sweep);
-        assert_eq!(plan.groups().len(), 1);
-        assert_eq!(plan.groups()[0].len(), 3);
+        let plan = group_points(&GridKeys::for_sweep(&sweep), sweep.points());
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan[0].len(), 3);
     }
 
     #[test]

@@ -40,9 +40,8 @@
 //!
 //! Small grids stay exact: when the grid has at most
 //! [`SearchSpec::exhaustive_below`] points and the budget covers it,
-//! search falls back to full cartesian evaluation and the result *is*
-//! the exhaustive frontier. Sampling only kicks in where enumeration
-//! is genuinely intractable.
+//! search returns [`Explorer::pareto`]'s result itself. Sampling only
+//! kicks in where enumeration is genuinely intractable.
 //!
 //! [`estimate_at_fps_gated`]: camj_core::energy::ValidatedModel::estimate_at_fps_gated
 //! [`EstimateCache`]: camj_core::energy::EstimateCache
@@ -55,9 +54,8 @@ use rand::{Rng, SeedableRng};
 
 use camj_core::energy::{EstimateCache, ValidatedModel, ENERGY_KERNEL_COUNT};
 
-use crate::axis::AxisValue;
 use crate::explorer::{
-    gated_point_eval, warm_stall, ParetoAccumulator, PointError, PointEval, PointOutcome,
+    gated_point_eval, run_gated, warm_stall, ParetoAccumulator, PointError, PointEval, PointOutcome,
 };
 use crate::pareto::{ParetoQuery, ParetoResults};
 use crate::plan::{group_points, GridKeys};
@@ -341,42 +339,20 @@ impl Explorer {
         let grid = sweep.len();
         let budget_covers_grid = spec.budget.map_or(true, |b| b >= grid);
         if grid <= spec.exhaustive_below && budget_covers_grid {
-            return self.search_exhaustive(sweep, cache, query, &build);
+            // The exactness oracle: the cartesian pareto path itself.
+            obs_core::count("search.exhaustive");
+            obs_core::counter("search.evals", 0, grid as u64);
+            return SearchResults {
+                pareto: self.pareto(sweep, cache, query, build),
+                grid_points: grid,
+                evaluations: grid,
+                generations_run: 0,
+                converged: false,
+                exhaustive: true,
+                warmup_discarded: 0,
+            };
         }
         self.search_adaptive(sweep, cache, query, spec, &build)
-    }
-
-    /// The exactness oracle: full cartesian gated evaluation through
-    /// the same engine, reported as a [`SearchResults`].
-    fn search_exhaustive<F>(
-        &self,
-        sweep: &Sweep,
-        cache: &Arc<EstimateCache>,
-        query: &ParetoQuery,
-        build: &F,
-    ) -> SearchResults
-    where
-        F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
-    {
-        let grid = sweep.len();
-        obs_core::count("search.exhaustive");
-        obs_core::counter("search.evals", 0, grid as u64);
-        let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
-        if grid > 0 {
-            // One batch: every group already has its own combination.
-            let models = ModelMemo::unmemoised(sweep, build);
-            let outcomes = self.evaluate_batch(&models, cache, query, sweep.points());
-            acc.fold(outcomes);
-        }
-        SearchResults {
-            pareto: acc.finish(),
-            grid_points: grid,
-            evaluations: grid,
-            generations_run: 0,
-            converged: false,
-            exhaustive: true,
-            warmup_discarded: 0,
-        }
     }
 
     /// The evolutionary loop proper: warm-up, breed, evaluate, fold,
@@ -398,6 +374,8 @@ impl Explorer {
         let mut evaluated: BTreeSet<usize> = BTreeSet::new();
         let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
         let models = ModelMemo::new(sweep, query, build);
+        let full =
+            |model: &ValidatedModel, point: &DesignPoint| gated_point_eval(model, point, query);
 
         // --- Phase 1: successive-halving warm-up. ---
         let warmup_discarded = {
@@ -406,9 +384,22 @@ impl Explorer {
             let batch = sample_distinct(&mut rng, grid, &evaluated, want);
             evaluated.extend(batch.iter().copied());
             obs_core::counter("search.evals", 0, batch.len() as u64);
-            let points: Vec<DesignPoint> =
-                batch.iter().map(|&index| sweep.point_at(index)).collect();
-            let outcomes = self.warmup_batch(&models, cache, query, points);
+            let outcomes = self.gated_batch(&models, cache, query, batch, |model, point| {
+                let (gated, fired) = run_gated(model, point, query.constraints(), WARMUP_KERNELS)?;
+                Ok(match fired {
+                    Some(constraint) => WarmupEval::Decided(PointEval::Pruned {
+                        constraint,
+                        kernels_done: gated.kernels_done(),
+                    }),
+                    // No constraint fired: the fidelity cut (or, if
+                    // WARMUP_KERNELS covers every kernel, nothing)
+                    // stopped the run; the partial total is the sound
+                    // lower bound the halving ranks by.
+                    None => WarmupEval::Survivor {
+                        partial_pj: gated.partial_total().picojoules(),
+                    },
+                })
+            });
             // Split the truncated-fidelity outcomes: constraint prunes
             // and errors are decided; survivors compete for promotion
             // on their partial-energy lower bound.
@@ -434,15 +425,14 @@ impl Explorer {
                 .sort_by(|(a_pj, a), (b_pj, b)| a_pj.total_cmp(b_pj).then(a.index.cmp(&b.index)));
             let discarded = survivors.len().saturating_sub(spec.population);
             obs_core::counter("search.warmup_discarded", 0, discarded as u64);
-            let promoted: Vec<DesignPoint> = survivors
+            let promoted = survivors
                 .into_iter()
                 .take(spec.population)
-                .map(|(_, point)| point)
-                .collect();
+                .map(|(_, point)| point.index);
             // Promotion re-runs the promoted points at full fidelity;
             // the shared cache replays the kernels warm-up already paid
             // for, so only the truncated tail is new work.
-            let outcomes = self.evaluate_batch(&models, cache, query, promoted);
+            let outcomes = self.gated_batch(&models, cache, query, promoted, full);
             acc.fold(outcomes);
             discarded
         };
@@ -462,7 +452,7 @@ impl Explorer {
             let want = spec.population.min(remaining);
             let parents: Vec<Vec<usize>> = prev_frontier
                 .iter()
-                .map(|&index| axis_coords(sweep, index))
+                .map(|&index| genome(sweep, index))
                 .collect();
             let batch = breed(&mut rng, sweep, &parents, &evaluated, want);
             if batch.is_empty() {
@@ -470,9 +460,7 @@ impl Explorer {
             }
             evaluated.extend(batch.iter().copied());
             obs_core::counter("search.evals", 0, batch.len() as u64);
-            let points: Vec<DesignPoint> =
-                batch.iter().map(|&index| sweep.point_at(index)).collect();
-            let outcomes = self.evaluate_batch(&models, cache, query, points);
+            let outcomes = self.gated_batch(&models, cache, query, batch, full);
             acc.fold(outcomes);
             generations_run += 1;
             let frontier_now = frontier_indices(&acc);
@@ -502,19 +490,29 @@ impl Explorer {
         }
     }
 
-    /// Evaluates one candidate batch at full fidelity through the
-    /// grouped, cache-shared gated path (the [`Explorer::pareto`]
-    /// worker body), returning outcomes in grid order.
-    fn evaluate_batch<F>(
+    /// Evaluates the batch of grid points `indices` through the
+    /// grouped, cache-shared gated path: one memoised model per rebuild
+    /// combination, stall pre-warmed at the fastest frame rate the
+    /// constraints admit, then `eval` per point (a full-fidelity
+    /// [`gated_point_eval`] or the warm-up's truncated gate). Returns
+    /// outcomes in grid order.
+    fn gated_batch<F, R, E>(
         &self,
         models: &ModelMemo<'_, F>,
         cache: &Arc<EstimateCache>,
         query: &ParetoQuery,
-        points: Vec<DesignPoint>,
-    ) -> Vec<PointOutcome<PointEval>>
+        indices: impl IntoIterator<Item = usize>,
+        eval: E,
+    ) -> Vec<PointOutcome<R>>
     where
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
+        R: Send,
+        E: Fn(&ValidatedModel, &DesignPoint) -> Result<R, PointError> + Sync,
     {
+        let points: Vec<DesignPoint> = indices
+            .into_iter()
+            .map(|index| models.sweep.point_at(index))
+            .collect();
         if points.is_empty() {
             return Vec::new();
         }
@@ -527,66 +525,7 @@ impl Explorer {
             |model, pts| warm_stall(model, pts, |delay| constraints.admits_delay(delay)),
             |model, point| {
                 let _span = obs_core::span("search.eval");
-                gated_point_eval(model, point, query)
-            },
-        )
-        .into_outcomes()
-    }
-
-    /// Evaluates one warm-up batch at truncated fidelity: the gate
-    /// checks the query's constraints (as the full path does) and
-    /// additionally stops every run after [`WARMUP_KERNELS`] kernels,
-    /// yielding a partial-energy lower bound per survivor.
-    fn warmup_batch<F>(
-        &self,
-        models: &ModelMemo<'_, F>,
-        cache: &Arc<EstimateCache>,
-        query: &ParetoQuery,
-        points: Vec<DesignPoint>,
-    ) -> Vec<PointOutcome<WarmupEval>>
-    where
-        F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
-    {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let constraints = query.constraints();
-        self.run_groups(
-            group_points(&models.keys, points),
-            cache,
-            |representative| models.model_for(representative),
-            models.build,
-            |model, pts| warm_stall(model, pts, |delay| constraints.admits_delay(delay)),
-            |model, point| {
-                let _span = obs_core::span("search.eval");
-                let fps = point
-                    .get("fps")
-                    .and_then(AxisValue::as_f64)
-                    .unwrap_or_else(|| model.fps());
-                let mut fired = None;
-                let outcome = model.estimate_at_fps_gated(fps, |ctx| {
-                    match constraints.first_violated(model, ctx) {
-                        Some(c) => {
-                            fired = Some(c);
-                            false
-                        }
-                        None => ctx.kernels_done < WARMUP_KERNELS,
-                    }
-                });
-                let gated = outcome.map_err(PointError::from)?;
-                match fired {
-                    Some(constraint) => Ok(WarmupEval::Decided(PointEval::Pruned {
-                        constraint,
-                        kernels_done: gated.kernels_done(),
-                    })),
-                    // No constraint fired: the gate's fidelity cut (or,
-                    // if WARMUP_KERNELS covers every kernel, nothing)
-                    // stopped the run; the partial total is the sound
-                    // lower bound the halving ranks by.
-                    None => Ok(WarmupEval::Survivor {
-                        partial_pj: gated.partial_total().picojoules(),
-                    }),
-                }
+                eval(model, point)
             },
         )
         .into_outcomes()
@@ -609,9 +548,9 @@ impl Explorer {
 /// Objectives that run the functional pipeline (`mc_snr`, `accuracy`)
 /// read the model's own frame rate, which comes from whichever point
 /// built it, so for those queries the memo is off and every batch
-/// builds its own models. The exhaustive path, a single batch, never
-/// memoises either: its models are freed group by group.
+/// builds its own models.
 struct ModelMemo<'a, F> {
+    sweep: &'a Sweep,
     keys: GridKeys,
     build: &'a F,
     models: Option<Mutex<HashMap<usize, ValidatedModel>>>,
@@ -623,24 +562,16 @@ where
 {
     /// A memo over `sweep`'s rebuild combinations; a functional
     /// objective in `query` makes every lookup a build.
-    fn new(sweep: &Sweep, query: &ParetoQuery, build: &'a F) -> Self {
+    fn new(sweep: &'a Sweep, query: &ParetoQuery, build: &'a F) -> Self {
         let reads_model_fps = query
             .objectives()
             .iter()
             .any(|o| o.mc_samples().is_some() || o.accuracy_metric().is_some());
         Self {
-            models: (!reads_model_fps).then(Mutex::default),
-            ..Self::unmemoised(sweep, build)
-        }
-    }
-
-    /// Every lookup a build: for a single batch, where no combination
-    /// recurs.
-    fn unmemoised(sweep: &Sweep, build: &'a F) -> Self {
-        Self {
+            sweep,
             keys: GridKeys::for_sweep(sweep),
             build,
-            models: None,
+            models: (!reads_model_fps).then(Mutex::default),
         }
     }
 
@@ -682,25 +613,12 @@ fn frontier_indices(acc: &ParetoAccumulator) -> Vec<usize> {
         .collect()
 }
 
-/// Decomposes a flat grid index into per-axis value indices (row-major,
-/// last axis fastest) — the genome adaptive search breeds on.
-fn axis_coords(sweep: &Sweep, index: usize) -> Vec<usize> {
-    let mut remainder = index;
-    let mut coords = vec![0usize; sweep.axes().len()];
-    for (slot, axis) in sweep.axes().iter().enumerate().rev() {
-        coords[slot] = remainder % axis.len();
-        remainder /= axis.len();
-    }
-    coords
-}
-
-/// Recomposes per-axis value indices into the flat grid index.
-fn flat_index(sweep: &Sweep, coords: &[usize]) -> usize {
-    let mut index = 0;
-    for (axis, &coord) in sweep.axes().iter().zip(coords) {
-        index = index * axis.len() + coord;
-    }
-    index
+/// The per-axis value indices of grid index `index` — the genome
+/// adaptive search breeds on.
+fn genome(sweep: &Sweep, index: usize) -> Vec<usize> {
+    (0..sweep.axes().len())
+        .map(|axis| sweep.digit(axis).of(index))
+        .collect()
 }
 
 /// Samples up to `want` distinct grid indices not in `taken`, by
@@ -768,7 +686,7 @@ fn breed(
         let mut bred = None;
         for _ in 0..MAX_CHILD_ATTEMPTS {
             let child = make_child(rng, sweep, parents);
-            let index = flat_index(sweep, &child);
+            let index = sweep.grid_index(&child);
             if fresh(index, &batch) {
                 bred = Some(index);
                 break;
@@ -838,25 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn axis_coords_round_trip_through_flat_index() {
-        let sweep = sweep3();
-        for index in 0..sweep.len() {
-            let coords = axis_coords(&sweep, index);
-            assert_eq!(flat_index(&sweep, &coords), index);
-            // And the genome selects the same values point_at builds.
-            let point = sweep.point_at(index);
-            for (slot, axis) in sweep.axes().iter().enumerate() {
-                assert_eq!(
-                    point.coords()[slot].1,
-                    axis.values()[coords[slot]],
-                    "index {index}, axis {}",
-                    axis.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sampling_is_distinct_and_exhausts_the_grid() {
         let sweep = sweep3();
         let grid = sweep.len();
@@ -874,7 +773,7 @@ mod tests {
     fn breeding_never_returns_an_evaluated_point() {
         let sweep = sweep3();
         let mut evaluated: BTreeSet<usize> = (0..6).collect();
-        let parents = vec![axis_coords(&sweep, 0), axis_coords(&sweep, 7)];
+        let parents = vec![genome(&sweep, 0), genome(&sweep, 7)];
         let mut rng = StdRng::seed_from_u64(3);
         let batch = breed(&mut rng, &sweep, &parents, &evaluated, 4);
         assert_eq!(batch.len(), 4);

@@ -10,9 +10,16 @@ use std::process::Command;
 
 use proptest::prelude::*;
 
-use camj::explore::{EstimateCache, Objective, ParetoQuery, SearchSpec};
+use camj::core::energy::ValidatedModel;
+use camj::explore::{
+    Constraint, DesignPoint, EstimateCache, ExecutionMode, Objective, ParetoQuery, PointError,
+    SearchSpec,
+};
 use camj::workloads::quickstart;
 use camj::{Explorer, Sweep};
+
+mod common;
+use common::{edgaze_point, grid256};
 
 /// Builds the quickstart model once and sweeps its fps axis; the grid
 /// the cheap property tests explore.
@@ -22,11 +29,34 @@ fn quickstart_sweep(fps_points: usize) -> (Sweep, camj::core::energy::ValidatedM
     (sweep, model)
 }
 
+/// Below the exhaustive threshold, `Explorer::search` returns exactly
+/// `Explorer::pareto`'s result — frontier, dominated provenance, prune
+/// ledger, errors and stats — serially and in parallel. Serial runs
+/// also match on cache counters; with several workers, which group
+/// first simulates a shared stall family depends on scheduling, so the
+/// hit/miss split may not.
+fn assert_search_is_pareto<F>(sweep: &Sweep, query: &ParetoQuery, spec: &SearchSpec, build: F)
+where
+    F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
+{
+    for explorer in [Explorer::serial(), Explorer::parallel()] {
+        let pareto_cache = EstimateCache::shared();
+        let exhaustive = explorer.pareto(sweep, &pareto_cache, query, &build);
+        let search_cache = EstimateCache::shared();
+        let searched = explorer.search(sweep, &search_cache, query, spec, &build);
+        assert!(searched.exhaustive());
+        assert_eq!(searched.evaluations(), sweep.len());
+        assert_eq!(searched.pareto(), &exhaustive, "{:?}", explorer.mode());
+        if explorer.mode() == ExecutionMode::Serial {
+            assert_eq!(search_cache.stats(), pareto_cache.stats());
+        }
+    }
+}
+
 proptest! {
     /// On grids at or below the exhaustive-fallback threshold (the
     /// default 256), `Explorer::search` takes the exact cartesian path,
-    /// so its frontier must equal `Explorer::pareto`'s — every search
-    /// frontier point is a true exhaustive frontier point. Any seed,
+    /// so its whole result must equal `Explorer::pareto`'s. Any seed,
     /// population, or generation cap must give the same answer.
     #[test]
     fn small_grid_search_frontier_is_exact(
@@ -37,23 +67,9 @@ proptest! {
         let (sweep, model) = quickstart_sweep(fps_points);
         let query = ParetoQuery::new(vec![Objective::TotalEnergy, Objective::PowerDensity]);
         let spec = SearchSpec::new().seed(seed).population(population);
-
-        let cache = EstimateCache::shared();
-        let exhaustive = Explorer::new().pareto(&sweep, &cache, &query, |point| {
+        assert_search_is_pareto(&sweep, &query, &spec, |point| {
             Ok(model.with_fps(point.fps("fps")))
         });
-        let cache = EstimateCache::shared();
-        let searched = Explorer::new().search(&sweep, &cache, &query, &spec, |point| {
-            Ok(model.with_fps(point.fps("fps")))
-        });
-
-        prop_assert!(searched.exhaustive());
-        prop_assert_eq!(searched.evaluations(), sweep.len());
-        prop_assert_eq!(searched.frontier().len(), exhaustive.frontier().len());
-        for (s, e) in searched.frontier().iter().zip(exhaustive.frontier()) {
-            prop_assert_eq!(s.point.index, e.point.index);
-            prop_assert!(s.metrics.same_as(&e.metrics));
-        }
     }
 
     /// The adaptive path (forced via `exhaustive_below(0)`) is
@@ -86,6 +102,20 @@ proptest! {
         prop_assert!(!first.exhaustive());
         prop_assert_eq!(&first, &second);
     }
+}
+
+/// The exhaustive search equals `pareto` on the 256-point Ed-Gaze grid
+/// under a power-density budget that prunes part of it, so the prune
+/// ledger is compared too.
+#[test]
+fn edgaze_grid_search_under_a_power_budget_is_pareto() {
+    let sweep = grid256();
+    let query = ParetoQuery::new(vec![Objective::TotalEnergy, Objective::PowerDensity])
+        .constrain(Constraint::MaxPowerDensity(0.4));
+    let exhaustive =
+        Explorer::serial().pareto(&sweep, &EstimateCache::shared(), &query, edgaze_point);
+    assert!(!exhaustive.pruned().is_empty());
+    assert_search_is_pareto(&sweep, &query, &SearchSpec::new(), edgaze_point);
 }
 
 /// The committed `descriptions/edgaze.search.json` golden: `camj search`

@@ -31,8 +31,7 @@ use common::{edgaze_point, grid256};
 fn rebuild_combination(point: &DesignPoint) -> String {
     point
         .coords()
-        .iter()
-        .filter(|(axis, _)| axis != "fps")
+        .filter(|(axis, _)| *axis != "fps")
         .map(|(axis, value)| format!("{axis}={value}"))
         .collect::<Vec<_>>()
         .join(",")
