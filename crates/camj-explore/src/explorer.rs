@@ -14,7 +14,7 @@ use camj_core::error::CamjError;
 use camj_tech::units::Energy;
 
 use crate::axis::AxisValue;
-use crate::objective::MetricVector;
+use crate::objective::{MetricVector, Objective};
 use crate::pareto::{ParetoFront, ParetoQuery, ParetoResults, PrunedPoint};
 use crate::plan::{group_points, GridKeys};
 use crate::prune::{Constraint, ConstraintSet, PruneStats};
@@ -331,13 +331,11 @@ impl Explorer {
             cache,
             &build,
             &build,
-            |model, points| warm_stall(model, points, |_| true),
+            &ConstraintSet::new(),
             |model, point| {
-                match point.get("fps").and_then(AxisValue::as_f64) {
-                    Some(fps) => model.estimate_at_fps(fps),
-                    None => model.estimate(),
-                }
-                .map_err(PointError::from)
+                model
+                    .estimate_at_fps(point_fps(model, point))
+                    .map_err(PointError::from)
             },
         )
     }
@@ -375,19 +373,12 @@ impl Explorer {
     where
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
     {
-        let constraints = query.constraints();
         let results = self.run_groups(
             group_points(&GridKeys::for_sweep(sweep), sweep.points()),
             cache,
             &build,
             &build,
-            |model, points| {
-                // Pre-warm only at frame rates whose delay split the
-                // constraints admit: a delay-pruned point never runs
-                // the stall check, so warming past the budget would do
-                // work the gated path deliberately skips.
-                warm_stall(model, points, |delay| constraints.admits_delay(delay));
-            },
+            query.constraints(),
             |model, point| gated_point_eval(model, point, query),
         );
         // The fold runs serially in grid order, so every prune counter
@@ -403,23 +394,23 @@ impl Explorer {
     /// (see [`crate::plan::group_points`]), builds one cache-attached
     /// model per group with `model_for` from its representative point
     /// (a plain build, or adaptive search's memo), falling back to
-    /// per-point `build`s when that fails; runs `warm` once per healthy
-    /// group, evaluates `eval` per point with panic capture, and returns
-    /// outcomes in grid order.
-    pub(crate) fn run_groups<R, M, F, W, E>(
+    /// per-point `build`s when that fails; pre-warms each healthy
+    /// group's stall verdict at the fastest frame rate `constraints`
+    /// admit, evaluates `eval` per point with panic capture, and
+    /// returns outcomes in grid order.
+    pub(crate) fn run_groups<R, M, F, E>(
         &self,
         groups: Vec<Vec<DesignPoint>>,
         cache: &Arc<EstimateCache>,
         model_for: M,
         build: F,
-        warm: W,
+        constraints: &ConstraintSet,
         eval: E,
     ) -> SweepResults<R>
     where
         R: Send,
         M: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
         F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
-        W: Fn(&ValidatedModel, &[DesignPoint]) + Sync,
         E: Fn(&ValidatedModel, &DesignPoint) -> Result<R, PointError> + Sync,
     {
         let eval_on = |model: &ValidatedModel, point: &DesignPoint| {
@@ -440,7 +431,7 @@ impl Explorer {
             match built {
                 Ok(Ok(model)) => {
                     let model = model.with_cache(Arc::clone(cache));
-                    warm(&model, &points);
+                    warm_stall(&model, &points, constraints);
                     points
                         .into_iter()
                         .map(|point| {
@@ -501,21 +492,23 @@ pub(crate) enum PointEval {
 /// per-point worker body shared by [`Explorer::pareto`] and adaptive
 /// search ([`Explorer::search`](crate::Explorer::search)).
 ///
-/// Metrics are measured here, in the worker, because `mc_snr`
-/// objectives run seeded frame simulations against the model — work
-/// that should share the sweep's parallelism, not serialise in the
-/// reduce loop. Seeds are fixed per sample count, so the coordinates
-/// are byte-identical in serial and parallel modes.
+/// Metrics are measured here, in the worker, because `mc_snr` and
+/// `accuracy` objectives run seeded frame simulations — work that
+/// should share the sweep's parallelism, not serialise in the reduce
+/// loop. Seeds are fixed per objective, so the coordinates are
+/// byte-identical in serial and parallel modes.
 pub(crate) fn gated_point_eval(
     model: &ValidatedModel,
     point: &DesignPoint,
-    query: &crate::pareto::ParetoQuery,
+    query: &ParetoQuery,
 ) -> Result<PointEval, PointError> {
-    match run_gated(model, point, query.constraints(), usize::MAX)? {
-        (GatedEstimate::Complete(report), _) => Ok(PointEval::Complete(measure_point(
+    let fps = point_fps(model, point);
+    match run_gated(model, fps, query.constraints(), usize::MAX)? {
+        (GatedEstimate::Complete(report), _) => Ok(PointEval::Complete(MetricVector::measure(
             query.objectives(),
             &report,
             model,
+            fps,
         )?)),
         (GatedEstimate::Pruned { kernels_done, .. }, fired) => Ok(PointEval::Pruned {
             constraint: fired.expect("the gate only stops on a violation"),
@@ -524,20 +517,23 @@ pub(crate) fn gated_point_eval(
     }
 }
 
-/// Runs `point` through the constraint-gated pipeline at its frame rate
-/// (the model's own without an `fps` axis), stopping at the first
+/// A point's frame rate: its `fps` coordinate, else the model's own.
+pub(crate) fn point_fps(model: &ValidatedModel, point: &DesignPoint) -> f64 {
+    point
+        .get("fps")
+        .and_then(AxisValue::as_f64)
+        .unwrap_or_else(|| model.fps())
+}
+
+/// Runs the constraint-gated pipeline at `fps`, stopping at the first
 /// violated constraint — returned alongside the outcome — or once
 /// `kernel_cap` energy kernels have run.
 pub(crate) fn run_gated(
     model: &ValidatedModel,
-    point: &DesignPoint,
+    fps: f64,
     constraints: &ConstraintSet,
     kernel_cap: usize,
 ) -> Result<(GatedEstimate, Option<Constraint>), PointError> {
-    let fps = point
-        .get("fps")
-        .and_then(AxisValue::as_f64)
-        .unwrap_or_else(|| model.fps());
     let mut fired = None;
     let outcome =
         model.estimate_at_fps_gated(fps, |ctx| match constraints.first_violated(model, ctx) {
@@ -563,7 +559,7 @@ pub(crate) struct ParetoAccumulator {
 
 impl ParetoAccumulator {
     /// An empty accumulator over `objectives`.
-    pub(crate) fn new(objectives: Vec<crate::objective::Objective>) -> Self {
+    pub(crate) fn new(objectives: Vec<Objective>) -> Self {
         Self {
             front: ParetoFront::new(objectives),
             stats: PruneStats::default(),
@@ -622,58 +618,13 @@ impl ParetoAccumulator {
     }
 }
 
-/// Measures one completed point's objective coordinates. Plain
-/// objectives read the estimate report; `mc_snr:<n>` objectives run a
-/// seed-fixed (`0..n`) Monte-Carlo frame simulation against the model,
-/// quoted at the same mid-scale stimulus as the analytic `snr`
-/// objective so the two orderings are comparable; `accuracy:<metric>`
-/// objectives push the model's attached stimulus through the full
-/// functional pipeline (seed 0) and judge the DAG sink at the task
-/// level, cached across points by the functional fingerprint.
-fn measure_point(
-    objectives: &[crate::objective::Objective],
-    report: &EstimateReport,
-    model: &ValidatedModel,
-) -> Result<MetricVector, PointError> {
-    let mut mc = std::collections::BTreeMap::new();
-    for samples in objectives
-        .iter()
-        .filter_map(crate::objective::Objective::mc_samples)
-    {
-        if mc.contains_key(&samples) {
-            continue;
-        }
-        let seeds: Vec<u64> = (0..u64::from(samples)).collect();
-        let stimulus = camj_core::functional::Stimulus::uniform(camj_core::DEFAULT_SIGNAL_FRACTION);
-        let sim = model
-            .simulate_frames(&seeds, &stimulus)
-            .map_err(PointError::from)?;
-        mc.insert(samples, sim.output.noise_rms_mean);
-    }
-    let accuracy = if objectives.iter().any(|o| o.accuracy_metric().is_some()) {
-        Some(model.task_metrics(&[0]).map_err(PointError::from)?)
-    } else {
-        None
-    };
-    Ok(MetricVector::measure_with_mc(
-        objectives,
-        report,
-        &mc,
-        accuracy.as_ref(),
-    ))
-}
-
-/// Pre-warms a group's stall verdict at its fastest admitted frame
-/// rate: stall freedom is monotone in the readout time, so one
-/// simulation settles every slower point (and, through the shared
-/// cache, every other group with the same topology). `admit` filters
-/// out frame rates a constraint gate would prune before the stall
-/// check.
-pub(crate) fn warm_stall(
-    model: &ValidatedModel,
-    points: &[DesignPoint],
-    admit: impl Fn(&camj_core::DelayEstimate) -> bool,
-) {
+/// Pre-warms a group's stall verdict at its fastest frame rate whose
+/// delay split `constraints` admit: stall freedom is monotone in the
+/// readout time, so one simulation settles every slower point (and,
+/// through the shared cache, every other group with the same
+/// topology). A delay-pruned point never runs the stall check, so
+/// warming past the budget would do work the gated path skips.
+fn warm_stall(model: &ValidatedModel, points: &[DesignPoint], constraints: &ConstraintSet) {
     let _span = obs_core::span("explore.warm");
     let fastest = points
         .iter()
@@ -683,7 +634,7 @@ pub(crate) fn warm_stall(
                 && fps > 0.0
                 && model
                     .estimate_delay_at(fps)
-                    .is_ok_and(|delay| admit(&delay))
+                    .is_ok_and(|delay| constraints.admits_delay(&delay))
         })
         .fold(f64::NEG_INFINITY, f64::max);
     if fastest.is_finite() && fastest > 0.0 {

@@ -18,6 +18,7 @@ use crate::axis::AxisValue;
 use crate::explorer::{PointOutcome, SweepResults};
 use crate::pareto::ParetoResults;
 use crate::search::SearchResults;
+use crate::sweep::DesignPoint;
 
 /// The output formats `camj sweep` can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,6 +86,18 @@ fn csv_f64(v: f64) -> String {
     crate::axis::canonical_f64(v)
 }
 
+/// A point's coordinates as leading CSV cells, each followed by a comma.
+fn push_coord_cells(out: &mut String, point: &DesignPoint) {
+    for (_, value) in point.coords() {
+        let cell = match value {
+            AxisValue::F64(v) => csv_f64(*v),
+            other => other.to_string(),
+        };
+        out.push_str(&csv_field(&cell));
+        out.push(',');
+    }
+}
+
 /// The optional cache-stats snapshot as a JSON value: the full
 /// [`CacheStats`] object when a sweep shared a cache, `null` otherwise.
 fn cache_json(cache: Option<&CacheStats>) -> Value {
@@ -92,6 +105,11 @@ fn cache_json(cache: Option<&CacheStats>) -> Value {
         Some(stats) => serde_json::to_value(stats),
         None => Value::Null,
     }
+}
+
+/// A count as a JSON number.
+fn count_json(n: usize) -> Value {
+    Value::Number(Number::from_u64(n as u64))
 }
 
 /// One sweep point as a JSON object: one key per axis, then the
@@ -187,14 +205,7 @@ impl SweepResults<EstimateReport> {
         }
         out.push_str("total_pj,per_pixel_pj,frame_ms,error\n");
         for outcome in self.outcomes() {
-            for (_, value) in outcome.point.coords() {
-                let cell = match value {
-                    AxisValue::F64(v) => csv_f64(*v),
-                    other => other.to_string(),
-                };
-                out.push_str(&csv_field(&cell));
-                out.push(',');
-            }
+            push_coord_cells(&mut out, &outcome.point);
             match &outcome.result {
                 Ok(report) => {
                     out.push_str(&csv_f64(report.total().picojoules()));
@@ -258,6 +269,14 @@ impl ParetoResults {
     /// [`PruneStats`]: crate::PruneStats
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
+        let mut out = self.json_fields();
+        out.insert("cache", cache_json(cache));
+        serde_json::to_string_pretty(&Value::Object(out)).expect("pareto metrics are finite")
+    }
+
+    /// Every top-level field of [`Self::to_json`] but `"cache"`, in
+    /// order.
+    fn json_fields(&self) -> Map {
         let mut out = Map::new();
         out.insert(
             "objectives",
@@ -270,14 +289,12 @@ impl ParetoResults {
             ),
         );
         out.insert("frontier", Value::Array(self.to_json_rows()));
-        let count = |n: usize| Value::Number(Number::from_u64(n as u64));
-        out.insert("dominated", count(self.dominated_count()));
-        out.insert("pruned", count(self.pruned().len()));
-        out.insert("errors", count(self.errors().len()));
-        out.insert("points", count(self.total_points()));
+        out.insert("dominated", count_json(self.dominated_count()));
+        out.insert("pruned", count_json(self.pruned().len()));
+        out.insert("errors", count_json(self.errors().len()));
+        out.insert("points", count_json(self.total_points()));
         out.insert("prune", serde_json::to_value(self.stats()));
-        out.insert("cache", cache_json(cache));
-        serde_json::to_string_pretty(&Value::Object(out)).expect("pareto metrics are finite")
+        out
     }
 
     /// The frontier as CSV: a header of axis names plus one column per
@@ -304,14 +321,7 @@ impl ParetoResults {
         out.push_str(&keys.join(","));
         out.push('\n');
         for entry in self.frontier() {
-            for (_, value) in entry.point.coords() {
-                let cell = match value {
-                    AxisValue::F64(v) => csv_f64(*v),
-                    other => other.to_string(),
-                };
-                out.push_str(&csv_field(&cell));
-                out.push(',');
-            }
+            push_coord_cells(&mut out, &entry.point);
             let metrics: Vec<String> = entry.metrics.values().iter().map(|v| csv_f64(*v)).collect();
             out.push_str(&metrics.join(","));
             out.push('\n');
@@ -336,36 +346,18 @@ impl SearchResults {
     /// one, so this indicates a model bug.
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
-        let mut out = Map::new();
-        out.insert(
-            "objectives",
-            Value::Array(
-                self.pareto()
-                    .front()
-                    .objectives()
-                    .iter()
-                    .map(|o| Value::String(o.key()))
-                    .collect(),
-            ),
-        );
-        out.insert("frontier", Value::Array(self.pareto().to_json_rows()));
-        let count = |n: usize| Value::Number(Number::from_u64(n as u64));
-        out.insert("dominated", count(self.pareto().dominated_count()));
-        out.insert("pruned", count(self.pareto().pruned().len()));
-        out.insert("errors", count(self.pareto().errors().len()));
-        out.insert("points", count(self.pareto().total_points()));
-        out.insert("prune", serde_json::to_value(self.pareto().stats()));
+        let mut out = self.pareto().json_fields();
         let mut search = Map::new();
-        search.insert("grid_points", count(self.grid_points()));
-        search.insert("evaluations", count(self.evaluations()));
+        search.insert("grid_points", count_json(self.grid_points()));
+        search.insert("evaluations", count_json(self.evaluations()));
         search.insert(
             "evaluation_fraction",
             Value::Number(Number::from_f64(self.evaluation_fraction())),
         );
-        search.insert("generations", count(self.generations_run()));
+        search.insert("generations", count_json(self.generations_run()));
         search.insert("converged", Value::Bool(self.converged()));
         search.insert("exhaustive", Value::Bool(self.exhaustive()));
-        search.insert("warmup_discarded", count(self.warmup_discarded()));
+        search.insert("warmup_discarded", count_json(self.warmup_discarded()));
         out.insert("search", Value::Object(search));
         out.insert("cache", cache_json(cache));
         serde_json::to_string_pretty(&Value::Object(out)).expect("search metrics are finite")

@@ -58,9 +58,9 @@
 //! frontier serializers ([`ParetoResults::to_json`] /
 //! [`ParetoResults::to_csv`]) expose the same machinery declaratively.
 //!
-//! When the grid outgrows enumeration entirely (10^5–10^6 points),
-//! **adaptive frontier search** ([`Explorer::search`]) approximates the
-//! same frontier with a fraction of the gated evaluations: a
+//! **Adaptive frontier search** ([`Explorer::search`]) approximates the
+//! same frontier with a fraction of the gated evaluations (on the
+//! 4096-point Ed-Gaze grid: recall ≥ 0.95 at ≤ 15% of them): a
 //! successive-halving warm-up ranks a random sample on truncated
 //! (half-kernel) partial-energy lower bounds, promotes the best to full
 //! evaluation, and an NSGA-II-style loop then breeds candidate batches

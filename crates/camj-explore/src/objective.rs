@@ -6,18 +6,21 @@
 //! category bars, Fig. 13's per-stage split), the digital latency a
 //! design needs, and the per-layer power density that decides thermal
 //! feasibility (Table 3). An [`Objective`] names one such quantity;
-//! [`MetricVector`] evaluates a fixed objective list against an
-//! [`EstimateReport`], producing the coordinates the
-//! [`ParetoFront`](crate::ParetoFront) dominance filter compares.
+//! [`MetricVector::measure`] evaluates a fixed objective list at one
+//! grid point — its [`EstimateReport`], and for the functional
+//! objectives its model at its frame rate — producing the coordinates
+//! the [`ParetoFront`](crate::ParetoFront) dominance filter compares.
 //!
-//! Every objective is **minimised**; all extracted values are finite
+//! Every objective is **minimised**; all measured values are finite
 //! and non-negative by construction of the estimator.
 
 use std::fmt;
 use std::str::FromStr;
 
-use camj_core::energy::{EnergyCategory, EstimateReport};
-use camj_core::functional::TaskMetrics;
+use camj_core::energy::{EnergyCategory, EstimateReport, ValidatedModel};
+use camj_core::error::CamjError;
+use camj_core::functional::{Stimulus, TaskMetrics};
+use camj_core::DEFAULT_SIGNAL_FRACTION;
 
 /// Upper bound on `mc_snr:<samples>`: past ~1k seeds the standard
 /// error of the mean shrinks slower than the exploration can afford.
@@ -95,9 +98,9 @@ pub enum Objective {
     /// same mid-scale stimulus as the analytic `snr`). Unlike `snr`,
     /// which reads one closed-form estimate, this measures the chain —
     /// quantization, clipping, and all. Minimising it maximises the
-    /// measured SNR. Evaluating it needs the point's model, not just
-    /// its estimate report, so [`Objective::extract`] does not support
-    /// it — `Explorer::pareto` measures it per point.
+    /// measured SNR. It is measured on the point's model at the point's
+    /// own frame rate: the frame budget sets the exposure, so the noise
+    /// moves with fps (see [`MetricVector::measure`]).
     McSnr(u32),
     /// Task-level accuracy: one figure of the functional pipeline's
     /// [`TaskMetrics`] (`accuracy:mse`, `accuracy:rmse`,
@@ -105,8 +108,9 @@ pub enum Objective {
     /// stimulus — typically a real image from the description's
     /// `stimulus` block — through the analog chain, the ADC, and the
     /// mapped digital DAG, then comparing the sink tensor against the
-    /// noise-free reference. Like `mc_snr`, it needs the point's model
-    /// (seed 0), so [`Objective::extract`] does not support it.
+    /// noise-free reference (seed 0). Like `mc_snr`, it is measured on
+    /// the point's model at the point's own frame rate, and so at the
+    /// point's own exposure.
     Accuracy(AccuracyMetric),
 }
 
@@ -147,47 +151,6 @@ impl Objective {
         match self {
             Objective::Accuracy(metric) => Some(*metric),
             _ => None,
-        }
-    }
-
-    /// Extracts this objective's value from a completed estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`Objective::McSnr`], which cannot be answered from a
-    /// report alone — use `MetricVector::measure_with_mc` with
-    /// model-backed values (as `Explorer::pareto` does).
-    #[must_use]
-    pub fn extract(&self, report: &EstimateReport) -> f64 {
-        match self {
-            Objective::TotalEnergy => report.total().picojoules(),
-            Objective::CategoryEnergy(c) => report.breakdown.category_total(*c).picojoules(),
-            Objective::StageEnergy(stage) => report
-                .breakdown
-                .items()
-                .filter(|i| i.stage.as_deref() == Some(stage.as_str()))
-                .map(|i| i.energy.picojoules())
-                .sum(),
-            Objective::Delay => report.digital_latency().millis(),
-            Objective::PowerDensity => report.peak_power_density_mw_per_mm2().unwrap_or(0.0),
-            Objective::Snr => report
-                .noise
-                .as_ref()
-                .map_or(0.0, |noise| noise.output_noise_rms),
-            Objective::StageNoise(unit) => report
-                .noise
-                .as_ref()
-                .and_then(|noise| noise.stage(unit))
-                .map_or(0.0, |stage| stage.added_noise_rms),
-            Objective::McSnr(samples) => panic!(
-                "mc_snr:{samples} needs Monte-Carlo frame simulation; \
-                 measure it through MetricVector::measure_with_mc"
-            ),
-            Objective::Accuracy(metric) => panic!(
-                "accuracy:{} needs the functional pipeline; \
-                 measure it through MetricVector::measure_with_mc",
-                metric.label()
-            ),
         }
     }
 }
@@ -290,68 +253,97 @@ impl FromStr for Objective {
 
 /// The coordinates of one design point in objective space: one value
 /// per objective, in the query's objective order. All values are
-/// minimised.
+/// minimised. A functional coordinate (`mc_snr`, `accuracy`) is
+/// measured at the point's own frame rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricVector {
     values: Vec<f64>,
 }
 
 impl MetricVector {
-    /// Evaluates `objectives` against a completed estimate.
+    /// Measures one completed grid point's coordinates, in objective
+    /// order. Report-backed objectives read `report`. `mc_snr:<n>` runs
+    /// a seed-fixed (`0..n`) Monte-Carlo frame simulation, quoted at the
+    /// same mid-scale stimulus as the analytic `snr` so the two
+    /// orderings are comparable; `accuracy:<metric>` pushes the model's
+    /// attached stimulus through the functional pipeline (seed 0),
+    /// cached across points by the functional fingerprint. Both run on
+    /// `model` re-targeted to `fps`, the point's frame rate, because
+    /// the frame budget sets the exposure and so the noise. That model
+    /// is built once, and only when a functional objective asks for it;
+    /// repeated `mc_snr` counts share one simulation and every
+    /// `accuracy` figure shares one [`TaskMetrics`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the frame-simulation errors of a functional
+    /// objective.
     ///
     /// # Panics
     ///
-    /// Panics when `objectives` contains [`Objective::McSnr`] — that
-    /// coordinate needs model-backed Monte-Carlo values; use
-    /// `Self::measure_with_mc`.
-    #[must_use]
-    pub fn measure(objectives: &[Objective], report: &EstimateReport) -> Self {
-        Self {
-            values: objectives.iter().map(|o| o.extract(report)).collect(),
-        }
-    }
-
-    /// Evaluates `objectives` against a completed estimate plus
-    /// model-backed results: `mc` maps each distinct `mc_snr` sample
-    /// count to its measured mean output noise RMS, and `accuracy`
-    /// carries the functional pipeline's task metrics when any
-    /// `accuracy:<metric>` objective is present (the caller — in
-    /// practice `Explorer::pareto` — runs the frame simulations).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an [`Objective::McSnr`] sample count is missing
-    /// from `mc`, or an [`Objective::Accuracy`] objective is present
-    /// with `accuracy` absent (the caller failed to simulate it).
-    #[must_use]
-    pub(crate) fn measure_with_mc(
+    /// Panics if a functional objective is present and `fps` is not a
+    /// positive finite number (see [`ValidatedModel::with_fps`]); a
+    /// point whose estimate completed always has a valid one.
+    pub fn measure(
         objectives: &[Objective],
         report: &EstimateReport,
-        mc: &std::collections::BTreeMap<u32, f64>,
-        accuracy: Option<&TaskMetrics>,
-    ) -> Self {
-        Self {
-            values: objectives
-                .iter()
-                .map(|o| {
-                    if let Some(samples) = o.mc_samples() {
-                        return *mc
-                            .get(&samples)
-                            .unwrap_or_else(|| panic!("mc_snr:{samples} was not simulated"));
+        model: &ValidatedModel,
+        fps: f64,
+    ) -> Result<Self, CamjError> {
+        let mut at_fps: Option<ValidatedModel> = None;
+        let mut mc: Vec<(u32, f64)> = Vec::new();
+        let mut accuracy: Option<TaskMetrics> = None;
+        let mut values = Vec::with_capacity(objectives.len());
+        for objective in objectives {
+            let value = match objective {
+                Objective::TotalEnergy => report.total().picojoules(),
+                Objective::CategoryEnergy(c) => report.breakdown.category_total(*c).picojoules(),
+                Objective::StageEnergy(stage) => report
+                    .breakdown
+                    .items()
+                    .filter(|i| i.stage.as_deref() == Some(stage.as_str()))
+                    .map(|i| i.energy.picojoules())
+                    .sum(),
+                Objective::Delay => report.digital_latency().millis(),
+                Objective::PowerDensity => report.peak_power_density_mw_per_mm2().unwrap_or(0.0),
+                Objective::Snr => report
+                    .noise
+                    .as_ref()
+                    .map_or(0.0, |noise| noise.output_noise_rms),
+                Objective::StageNoise(unit) => report
+                    .noise
+                    .as_ref()
+                    .and_then(|noise| noise.stage(unit))
+                    .map_or(0.0, |stage| stage.added_noise_rms),
+                Objective::McSnr(samples) => match mc.iter().find(|(n, _)| n == samples) {
+                    Some(&(_, noise)) => noise,
+                    None => {
+                        let seeds: Vec<u64> = (0..u64::from(*samples)).collect();
+                        let stimulus = Stimulus::uniform(DEFAULT_SIGNAL_FRACTION);
+                        let noise = at_fps
+                            .get_or_insert_with(|| model.with_fps(fps))
+                            .simulate_frames(&seeds, &stimulus)?
+                            .output
+                            .noise_rms_mean;
+                        mc.push((*samples, noise));
+                        noise
                     }
-                    if let Some(metric) = o.accuracy_metric() {
-                        return metric.of(accuracy.unwrap_or_else(|| {
-                            panic!(
-                                "accuracy:{} needs the functional pipeline, \
-                                 which was not simulated",
-                                metric.label()
-                            )
-                        }));
-                    }
-                    o.extract(report)
-                })
-                .collect(),
+                },
+                Objective::Accuracy(metric) => {
+                    let metrics = match accuracy.take() {
+                        Some(metrics) => metrics,
+                        None => at_fps
+                            .get_or_insert_with(|| model.with_fps(fps))
+                            .task_metrics(&[0])?,
+                    };
+                    let value = metric.of(&metrics);
+                    accuracy = Some(metrics);
+                    value
+                }
+            };
+            values.push(value);
         }
+        Ok(Self { values })
     }
 
     /// A vector from raw values (for synthetic fronts and tests); must

@@ -1,11 +1,9 @@
 //! Adaptive frontier search: an NSGA-II-style evolutionary loop with a
-//! successive-halving warm-up over the gated incremental evaluator,
-//! for design grids too large to enumerate.
+//! successive-halving warm-up over the gated incremental evaluator.
 //!
 //! The cartesian path ([`Explorer::pareto`]) evaluates every grid
-//! point; on a 10^5–10^6-point grid even the incremental cache cannot
-//! absorb that. [`Explorer::search`] instead spends
-//! [`estimate_at_fps_gated`] calls only near the Pareto frontier:
+//! point. [`Explorer::search`] instead spends [`estimate_at_fps_gated`]
+//! calls only near the Pareto frontier:
 //!
 //! 1. **Warm-up (successive halving):** sample `2 × population`
 //!    distinct points from the grid and run each through a *truncated*
@@ -25,6 +23,13 @@
 //! 3. **Termination:** stop on the generation budget, on the
 //!    evaluation budget, or on convergence (the frontier index set
 //!    unchanged for three consecutive generations).
+//!
+//! # What is measured
+//!
+//! On the 4096-point Ed-Gaze 4-axis grid, a seeded search recovers at
+//! least 95% of the exact frontier within at most 15% of the grid's
+//! gated evaluations (`seeded_search_recovers_the_4096_point_frontier`
+//! in `tests/incremental.rs`). Larger grids have not been measured.
 //!
 //! # Determinism
 //!
@@ -55,7 +60,7 @@ use rand::{Rng, SeedableRng};
 use camj_core::energy::{EstimateCache, ValidatedModel, ENERGY_KERNEL_COUNT};
 
 use crate::explorer::{
-    gated_point_eval, run_gated, warm_stall, ParetoAccumulator, PointError, PointEval, PointOutcome,
+    gated_point_eval, point_fps, run_gated, ParetoAccumulator, PointError, PointEval, PointOutcome,
 };
 use crate::pareto::{ParetoQuery, ParetoResults};
 use crate::plan::{group_points, GridKeys};
@@ -79,9 +84,11 @@ const MAX_CHILD_ATTEMPTS: usize = 12;
 
 /// Configuration of one adaptive search run.
 ///
-/// All knobs have defaults tuned for grids in the 10^3–10^6 range; the
-/// camj-desc `sweep.search` block and the `camj search` CLI flags map
-/// onto the same fields.
+/// The camj-desc `sweep.search` block and the `camj search` CLI flags
+/// map onto the same fields. The measured operating point is the
+/// 4096-point Ed-Gaze grid at population 32 (recall ≥ 0.95 of the
+/// exact frontier at ≤ 15% of its evaluations); the defaults are not
+/// tuned beyond it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
     population: usize,
@@ -373,7 +380,7 @@ impl Explorer {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut evaluated: BTreeSet<usize> = BTreeSet::new();
         let mut acc = ParetoAccumulator::new(query.objectives().to_vec());
-        let models = ModelMemo::new(sweep, query, build);
+        let models = ModelMemo::new(sweep, build);
         let full =
             |model: &ValidatedModel, point: &DesignPoint| gated_point_eval(model, point, query);
 
@@ -385,7 +392,8 @@ impl Explorer {
             evaluated.extend(batch.iter().copied());
             obs_core::counter("search.evals", 0, batch.len() as u64);
             let outcomes = self.gated_batch(&models, cache, query, batch, |model, point| {
-                let (gated, fired) = run_gated(model, point, query.constraints(), WARMUP_KERNELS)?;
+                let fps = point_fps(model, point);
+                let (gated, fired) = run_gated(model, fps, query.constraints(), WARMUP_KERNELS)?;
                 Ok(match fired {
                     Some(constraint) => WarmupEval::Decided(PointEval::Pruned {
                         constraint,
@@ -516,13 +524,12 @@ impl Explorer {
         if points.is_empty() {
             return Vec::new();
         }
-        let constraints = query.constraints();
         self.run_groups(
             group_points(&models.keys, points),
             cache,
             |representative| models.model_for(representative),
             models.build,
-            |model, pts| warm_stall(model, pts, |delay| constraints.admits_delay(delay)),
+            query.constraints(),
             |model, point| {
                 let _span = obs_core::span("search.eval");
                 eval(model, point)
@@ -543,35 +550,27 @@ impl Explorer {
 /// it consults the shared cache in the same places a rebuild would and
 /// the cache counters are unchanged. A failed representative is not
 /// kept: the next batch tries it again, and its points fall back to
-/// per-point builds as before.
-///
-/// Objectives that run the functional pipeline (`mc_snr`, `accuracy`)
-/// read the model's own frame rate, which comes from whichever point
-/// built it, so for those queries the memo is off and every batch
-/// builds its own models.
+/// per-point builds as before. Every point is estimated and measured
+/// at its own frame rate, never the memoised model's, so one memo rule
+/// serves every objective.
 struct ModelMemo<'a, F> {
     sweep: &'a Sweep,
     keys: GridKeys,
     build: &'a F,
-    models: Option<Mutex<HashMap<usize, ValidatedModel>>>,
+    models: Mutex<HashMap<usize, ValidatedModel>>,
 }
 
 impl<'a, F> ModelMemo<'a, F>
 where
     F: Fn(&DesignPoint) -> Result<ValidatedModel, PointError> + Sync,
 {
-    /// A memo over `sweep`'s rebuild combinations; a functional
-    /// objective in `query` makes every lookup a build.
-    fn new(sweep: &'a Sweep, query: &ParetoQuery, build: &'a F) -> Self {
-        let reads_model_fps = query
-            .objectives()
-            .iter()
-            .any(|o| o.mc_samples().is_some() || o.accuracy_metric().is_some());
+    /// An empty memo over `sweep`'s rebuild combinations.
+    fn new(sweep: &'a Sweep, build: &'a F) -> Self {
         Self {
             sweep,
             keys: GridKeys::for_sweep(sweep),
             build,
-            models: (!reads_model_fps).then(Mutex::default),
+            models: Mutex::default(),
         }
     }
 
@@ -579,11 +578,8 @@ where
     /// build of its rebuild combination, or a fresh one (memoised when
     /// it succeeds).
     fn model_for(&self, representative: &DesignPoint) -> Result<ValidatedModel, PointError> {
-        let Some(models) = &self.models else {
-            return (self.build)(representative);
-        };
         let key = self.keys.rebuild_key(representative.index);
-        let lock = || models.lock().unwrap_or_else(PoisonError::into_inner);
+        let lock = || self.models.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(model) = lock().get(&key) {
             return Ok(model.clone());
         }

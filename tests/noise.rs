@@ -289,10 +289,15 @@ fn pareto_with_snr_objective_matches_post_filter() {
     let full = Explorer::serial().sweep_incremental(&sweep, &full_cache, build);
     let mut front = camj::explore::ParetoFront::new(query.objectives().to_vec());
     for (point, report) in full.successes() {
-        front.insert(
-            point.clone(),
-            camj::explore::MetricVector::measure(query.objectives(), report),
-        );
+        let model = build(point).unwrap();
+        let metrics = camj::explore::MetricVector::measure(
+            query.objectives(),
+            report,
+            &model,
+            point.fps("fps"),
+        )
+        .unwrap();
+        front.insert(point.clone(), metrics);
     }
     assert_eq!(serial.frontier().len(), front.frontier().len());
     for (a, b) in serial.frontier().iter().zip(front.frontier()) {

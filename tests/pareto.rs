@@ -12,6 +12,7 @@
 //!   committed `descriptions/edgaze.pareto.json` golden.
 
 use std::fs;
+use std::path::Path;
 use std::process::Command;
 
 use proptest::prelude::*;
@@ -20,6 +21,7 @@ use camj::explore::{
     Constraint, EstimateCache, Explorer, MemoryKind, MetricVector, Objective, ParetoFront,
     ParetoQuery, PruneStats, Sweep,
 };
+use camj::serve::resolve::load_design;
 use camj::tech::node::ProcessNode;
 use camj::workloads::configs::SensorVariant;
 use camj::workloads::edgaze;
@@ -75,7 +77,10 @@ fn assert_pruned_frontier_matches_postfilter(sweep: &Sweep, budget: f64) -> Prun
     for (point, report) in full.successes() {
         if report.peak_power_density_mw_per_mm2().unwrap_or(0.0) <= budget {
             feasible += 1;
-            reference.insert(point.clone(), MetricVector::measure(q.objectives(), report));
+            let model = edgaze_point(point).unwrap();
+            let metrics =
+                MetricVector::measure(q.objectives(), report, &model, point.fps("fps")).unwrap();
+            reference.insert(point.clone(), metrics);
         }
     }
     assert!(
@@ -324,6 +329,28 @@ fn cli_pareto_accuracy_matches_committed_golden() {
     );
     assert_eq!(run(Some("1")), first);
     assert_eq!(run(Some("8")), first);
+
+    // Each frontier row is measured at its own frame rate: its centroid
+    // error is the description's model, re-targeted to the row's fps,
+    // judged by the functional pipeline.
+    let text = fs::read_to_string("descriptions/edgaze.json").unwrap();
+    let (_, model) = load_design(&text, Some(Path::new("descriptions"))).unwrap();
+    let output: serde_json::Value = serde_json::from_str(&first).unwrap();
+    let rows = output.as_object().unwrap().get("frontier").unwrap();
+    for row in rows.as_array().unwrap() {
+        let row = row.as_object().unwrap();
+        let fps = row.get("fps").and_then(serde_json::Value::as_f64).unwrap();
+        let centroid = row
+            .get("accuracy_centroid")
+            .and_then(serde_json::Value::as_f64)
+            .unwrap();
+        let expected = model.with_fps(fps).task_metrics(&[0]).unwrap();
+        assert_eq!(
+            centroid.to_bits(),
+            expected.centroid_err.to_bits(),
+            "centroid error at {fps} fps"
+        );
+    }
 }
 
 proptest! {

@@ -1,9 +1,9 @@
-//! Adaptive search over the Ed-Gaze 4-axis grid: each rebuild
-//! combination's model is built once per run however many batches
-//! revisit it, and the result — frontier, trajectory, prune ledger and
-//! cache block — is the committed golden at every worker count. A
-//! search with a Monte-Carlo objective, which reads its group model's
-//! own frame rate, keeps building per batch and matches its golden too.
+//! Adaptive search builds each rebuild combination's model once per run
+//! however many batches revisit it. Over the Ed-Gaze 4-axis grid the
+//! result — frontier, trajectory, prune ledger and cache block — is the
+//! committed golden at every worker count. With a Monte-Carlo objective
+//! the same one-build memo holds, every frontier coordinate is measured
+//! at the point's own frame rate, and the result matches its golden too.
 //!
 //! This file is its own test binary because it pins the rayon worker
 //! count process-wide.
@@ -15,9 +15,11 @@ use camj::analog::array::AnalogArray;
 use camj::analog::components::{aps_4t, column_adc, ApsParams};
 use camj::analog::noise::NoiseSource;
 use camj::core::energy::{CacheStats, CamJ, ValidatedModel};
+use camj::core::functional::Stimulus;
 use camj::core::hw::{AnalogCategory, AnalogUnitDesc, HardwareDesc, Layer};
 use camj::core::mapping::Mapping;
 use camj::core::sw::{AlgorithmGraph, Stage};
+use camj::core::DEFAULT_SIGNAL_FRACTION;
 use camj::explore::{
     Constraint, DesignPoint, EstimateCache, Explorer, Objective, ParetoQuery, PointError,
     SearchResults, SearchSpec, Sweep,
@@ -165,14 +167,12 @@ fn small_sensor(point: &DesignPoint) -> Result<ValidatedModel, PointError> {
         .map_err(PointError::new)
 }
 
-/// `mc_snr` measures each point on its group's model, at the frame
-/// rate that model was built at — the group representative's. A
-/// search-wide model memo would hand a later batch the model an earlier
-/// batch built at another frame rate and move the noise coordinates, so
-/// for this objective every batch still builds its own models. The
-/// golden was captured before search memoised models.
+/// `mc_snr` measures each point at its own frame rate, on the memoised
+/// model of its rebuild combination re-targeted to that rate: each
+/// combination is built once per run, and every frontier coordinate is
+/// the noise of a model built at the point's own fps.
 #[test]
-fn adaptive_search_with_a_monte_carlo_objective_builds_per_batch() {
+fn adaptive_search_with_a_monte_carlo_objective_measures_each_point_at_its_fps() {
     let sweep = Sweep::new()
         .fps_targets((0..8).map(|i| 1.0 + 4.0 * f64::from(i)))
         .bit_widths([6, 8, 10, 12]);
@@ -185,10 +185,36 @@ fn adaptive_search_with_a_monte_carlo_objective_builds_per_batch() {
         .population(6)
         .budget(24)
         .exhaustive_below(0);
+    let builds: Mutex<HashMap<String, usize>> = Mutex::default();
     let cache = EstimateCache::shared();
-    let results = Explorer::serial().search(&sweep, &cache, &query, &spec, small_sensor);
+    let results = Explorer::serial().search(&sweep, &cache, &query, &spec, |point| {
+        *builds
+            .lock()
+            .unwrap()
+            .entry(rebuild_combination(point))
+            .or_default() += 1;
+        small_sensor(point)
+    });
     assert!(!results.exhaustive());
     assert!(results.generations_run() >= 2);
+    let builds = builds.into_inner().unwrap();
+    assert!(builds.len() > 1);
+    assert!(builds.values().all(|&count| count == 1), "{builds:?}");
+    let stimulus = Stimulus::uniform(DEFAULT_SIGNAL_FRACTION);
+    for entry in results.frontier() {
+        let own = small_sensor(&entry.point)
+            .unwrap()
+            .simulate_frames(&[0, 1], &stimulus)
+            .unwrap()
+            .output
+            .noise_rms_mean;
+        assert_eq!(
+            entry.metrics.values()[1].to_bits(),
+            own.to_bits(),
+            "mc2 noise at [{}]",
+            entry.point
+        );
+    }
     assert_eq!(
         format!("{}\n", results.to_json(Some(&cache.stats()))),
         golden("small-sensor.search-mc.json")

@@ -741,50 +741,60 @@ fn connect_flag_runs_subcommands_against_the_daemon() {
 }
 
 /// CLI↔daemon parity: `camj pareto --connect` answers with the
-/// committed local frontier, minus the warmth-dependent cache stats.
+/// committed local frontier, minus the warmth-dependent cache stats —
+/// for the energy objectives and for a task-accuracy objective, whose
+/// functional simulations the daemon runs too.
 #[test]
 fn connected_pareto_matches_the_local_golden() {
     let _cpu = shared_cpu();
     // The daemon resolves the inline design's relative stimulus path
     // against its own working directory.
     let daemon = Daemon::spawn_in("descriptions", &["--workers", "1"], &[]);
-    let out = Command::new(env!("CARGO_BIN_EXE_camj"))
-        .args([
-            "pareto",
-            "--design",
-            "descriptions/edgaze.json",
-            "--connect",
-            &daemon.addr,
-        ])
-        .output()
-        .expect("camj runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let golden = fs::read_to_string("descriptions/edgaze.pareto.json").unwrap();
-    let Value::Object(golden) = serde_json::from_str::<Value>(&golden).unwrap() else {
-        panic!("the pareto golden is a JSON object");
-    };
-    let mut expected = serde_json::Map::new();
-    for (key, value) in golden.iter() {
-        expected.insert(
-            key,
-            if key == "cache" {
-                Value::Null
-            } else {
-                value.clone()
-            },
+    for (objectives, golden) in [
+        (None, "descriptions/edgaze.pareto.json"),
+        (
+            Some("total_energy,accuracy:centroid"),
+            "descriptions/edgaze.pareto-accuracy.json",
+        ),
+    ] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
+        cmd.args(["pareto", "--design", "descriptions/edgaze.json"]);
+        if let Some(objectives) = objectives {
+            cmd.args(["--objectives", objectives, "--format", "json"]);
+        }
+        let out = cmd
+            .args(["--connect", &daemon.addr])
+            .output()
+            .expect("camj runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = fs::read_to_string(golden).unwrap();
+        let Value::Object(golden) = serde_json::from_str::<Value>(&text).unwrap() else {
+            panic!("the pareto golden is a JSON object");
+        };
+        let mut expected = serde_json::Map::new();
+        for (key, value) in golden.iter() {
+            expected.insert(
+                key,
+                if key == "cache" {
+                    Value::Null
+                } else {
+                    value.clone()
+                },
+            );
+        }
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!(
+                "{}\n",
+                serde_json::to_string_pretty(&Value::Object(expected)).unwrap()
+            ),
+            "{objectives:?}"
         );
     }
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        format!(
-            "{}\n",
-            serde_json::to_string_pretty(&Value::Object(expected)).unwrap()
-        )
-    );
     daemon.shutdown();
 }
 
