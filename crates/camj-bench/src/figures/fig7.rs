@@ -57,7 +57,10 @@ pub fn run() -> Vec<ChipResult> {
             .and_then(|model| model.estimate())
             .expect("chip estimates");
         let px = report.input_pixels.max(1) as f64;
-        let per_px = |cat: EnergyCategory| report.breakdown.category_total(cat).picojoules() / px;
+        // A category with no entries sums to -0.0; adding +0.0 makes it
+        // print as zero (the saved JSON is `results`, not these rows).
+        let per_px =
+            |cat: EnergyCategory| report.breakdown.category_total(cat).picojoules() / px + 0.0;
         rows.push(vec![
             chip.id.to_owned(),
             format!("{:.1}", per_px(EnergyCategory::Sensing)),

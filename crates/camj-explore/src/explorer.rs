@@ -11,7 +11,6 @@ use camj_core::energy::{
     EstimateCache, EstimateReport, GatedEstimate, ValidatedModel, ENERGY_KERNEL_COUNT,
 };
 use camj_core::error::CamjError;
-use camj_tech::units::Energy;
 
 use crate::axis::AxisValue;
 use crate::objective::{MetricVector, Objective};
@@ -48,16 +47,6 @@ impl PointError {
     pub fn new(error: impl fmt::Display) -> Self {
         Self {
             message: error.to_string(),
-            panicked: false,
-        }
-    }
-
-    /// Wraps an error with the failing point's axis coordinates, so a
-    /// captured panic in a million-point grid still names exactly which
-    /// design died.
-    pub fn at_point(point: &DesignPoint, error: impl fmt::Display) -> Self {
-        Self {
-            message: format!("at point [{point}]: {error}"),
             panicked: false,
         }
     }
@@ -191,12 +180,6 @@ impl SweepResults<EstimateReport> {
             }
         }
         best
-    }
-
-    /// `(point, total energy)` pairs for the successful points.
-    #[must_use]
-    pub fn total_energies(&self) -> Vec<(&DesignPoint, Energy)> {
-        self.successes().map(|(p, r)| (p, r.total())).collect()
     }
 }
 

@@ -132,27 +132,6 @@ impl Objective {
             Objective::Accuracy(metric) => format!("accuracy_{}", metric.label()),
         }
     }
-
-    /// The Monte-Carlo sample count when this objective needs seeded
-    /// frame simulations (and therefore the point's model) to evaluate.
-    #[must_use]
-    pub fn mc_samples(&self) -> Option<u32> {
-        match self {
-            Objective::McSnr(samples) => Some(*samples),
-            _ => None,
-        }
-    }
-
-    /// The task-accuracy figure when this objective needs the
-    /// functional pipeline (and therefore the point's model) to
-    /// evaluate.
-    #[must_use]
-    pub fn accuracy_metric(&self) -> Option<AccuracyMetric> {
-        match self {
-            Objective::Accuracy(metric) => Some(*metric),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Objective {

@@ -173,36 +173,6 @@ impl SearchSpec {
         self.exhaustive_below = points;
         self
     }
-
-    /// The configured per-generation candidate count.
-    #[must_use]
-    pub fn population_size(&self) -> usize {
-        self.population
-    }
-
-    /// The configured generation cap.
-    #[must_use]
-    pub fn generation_cap(&self) -> usize {
-        self.generations
-    }
-
-    /// The configured RNG seed.
-    #[must_use]
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configured evaluation budget, if any.
-    #[must_use]
-    pub fn budget_cap(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// The exhaustive-fallback threshold.
-    #[must_use]
-    pub fn exhaustive_threshold(&self) -> usize {
-        self.exhaustive_below
-    }
 }
 
 /// The outcome of [`Explorer::search`]: the frontier (with the full
@@ -226,12 +196,6 @@ impl SearchResults {
     #[must_use]
     pub fn pareto(&self) -> &ParetoResults {
         &self.pareto
-    }
-
-    /// Consumes into the underlying [`ParetoResults`].
-    #[must_use]
-    pub fn into_pareto(self) -> ParetoResults {
-        self.pareto
     }
 
     /// The frontier entries, sorted by grid index.
@@ -790,11 +754,11 @@ mod tests {
             .seed(42)
             .budget(100)
             .exhaustive_below(16);
-        assert_eq!(spec.population_size(), 8);
-        assert_eq!(spec.generation_cap(), 5);
-        assert_eq!(spec.seed_value(), 42);
-        assert_eq!(spec.budget_cap(), Some(100));
-        assert_eq!(spec.exhaustive_threshold(), 16);
+        assert_eq!(spec.population, 8);
+        assert_eq!(spec.generations, 5);
+        assert_eq!(spec.seed, 42);
+        assert_eq!(spec.budget, Some(100));
+        assert_eq!(spec.exhaustive_below, 16);
     }
 
     #[test]

@@ -319,8 +319,16 @@ pub fn is_racy(name: &str) -> bool {
 mod tests {
     use super::*;
 
+    /// Held for the whole body of every test that records or probes the
+    /// facade. `SESSION_LOCK` only serialises sessions, but a facade
+    /// event emitted between sessions (the `"orphan"` and `"late"`
+    /// probes below) lands in whichever other test's session is live —
+    /// as an extra thread of that recording.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn session_captures_and_isolates() {
+        let _serial = lock(&TEST_LOCK);
         // Outside a session the facade is disabled.
         obs_core::counter("orphan", 0, 1);
 
@@ -348,6 +356,7 @@ mod tests {
 
     #[test]
     fn threads_get_separate_buffers() {
+        let _serial = lock(&TEST_LOCK);
         let session = ObsSession::begin();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -369,6 +378,7 @@ mod tests {
 
     #[test]
     fn dropped_session_stops_recording() {
+        let _serial = lock(&TEST_LOCK);
         let session = ObsSession::begin();
         assert!(obs_core::enabled());
         drop(session);

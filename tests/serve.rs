@@ -164,12 +164,15 @@ fn sweep_request(id: u64, points: usize) -> Request {
 /// sweep never reads it, and its relative path would not resolve
 /// inline. A replay still parses the inline design (about 1 ms in a
 /// debug build) and writes one line per point; cold, each point also
-/// pays its delay solve, two kernel misses, and report assembly. Over
-/// 20 isolated debug runs on a 2-vCPU host that kept the warm-repeat
-/// ratio at 17x or more (median 22x), clear of the 10x the test
-/// asserts; at this length a brief host stall during the ~40 ms replay
-/// costs a few ratio points rather than the assertion.
-fn heavy_sweep_request(id: u64) -> Request {
+/// pays its delay solve, two kernel misses, and report assembly. In
+/// five debug runs of the warm-repeat test on a 2-vCPU host, single
+/// pair ratios spanned 13–20x and each run's median 14.6–16.0x, clear
+/// of the 10x the test asserts.
+///
+/// `seed` is the request id and also shifts every frame rate by
+/// `seed` µHz, so requests with distinct seeds share no dedup key and
+/// no per-point cache entry: each is cold on first sight.
+fn heavy_sweep_request(seed: u64) -> Request {
     let design: Value =
         serde_json::from_str(&fs::read_to_string("descriptions/edgaze.json").unwrap()).unwrap();
     let mut stripped = serde_json::Map::new();
@@ -179,9 +182,13 @@ fn heavy_sweep_request(id: u64) -> Request {
         }
     }
     let mut request = Request::new(RequestKind::Sweep);
-    request.id = id;
+    request.id = seed;
     request.design = Some(Value::Object(stripped));
-    request.fps = Some((1..=8192).map(|i| 10.0 + 0.0025 * i as f64).collect());
+    request.fps = Some(
+        (1..=8192)
+            .map(|i| 10.0 + 0.0025 * i as f64 + 1e-6 * seed as f64)
+            .collect(),
+    );
     request
 }
 
@@ -550,11 +557,14 @@ fn injected_panic_yields_error_frame_and_daemon_survives() {
 // Warm-repeat speedup (acceptance criterion)
 // ---------------------------------------------------------------------
 
+/// Cold/warm pairs timed by the warm-repeat test; odd, so the median is
+/// one measured ratio.
+const WARM_REPEAT_PAIRS: u64 = 5;
+
 #[test]
 fn warm_repeat_of_a_cold_sweep_is_ten_times_faster() {
     let _cpu = exclusive_cpu();
     let daemon = Daemon::spawn(&["--workers", "2"], &[]);
-    let request = heavy_sweep_request(31);
 
     // Time the raw exchange on one persistent connection, without
     // client-side JSON parsing, so the measurement is the daemon's
@@ -579,14 +589,28 @@ fn warm_repeat_of_a_cold_sweep_is_ten_times_faster() {
         }
     };
 
-    let (cold, cold_elapsed) = timed(&request);
-    let (warm, warm_elapsed) = timed(&request);
+    // One sample decides nothing on a shared host: take interleaved
+    // cold/warm pairs, each on its own fresh request, and hold the
+    // median ratio to the bar.
+    let mut ratios: Vec<f64> = (31..31 + WARM_REPEAT_PAIRS)
+        .map(|seed| {
+            let request = heavy_sweep_request(seed);
+            let (cold, cold_elapsed) = timed(&request);
+            let (warm, warm_elapsed) = timed(&request);
+            assert_eq!(warm, cold, "the warm repeat must replay identical frames");
+            cold_elapsed.as_secs_f64() / warm_elapsed.as_secs_f64()
+        })
+        .collect();
 
-    assert_eq!(warm, cold, "the warm repeat must replay identical frames");
-    assert_eq!(counter(&stats(&daemon.addr), "dedup_hits"), 1);
+    assert_eq!(
+        counter(&stats(&daemon.addr), "dedup_hits"),
+        WARM_REPEAT_PAIRS
+    );
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
     assert!(
-        cold_elapsed >= warm_elapsed * 10,
-        "expected a >=10x warm speedup, got cold={cold_elapsed:?} warm={warm_elapsed:?}"
+        median >= 10.0,
+        "expected a >=10x median warm speedup, got cold/warm ratios {ratios:?}"
     );
     daemon.shutdown();
 }
