@@ -2,16 +2,17 @@
 //! [`Fingerprint`]s to computed artifacts.
 //!
 //! One cache is shared by every design point of a sweep (and by every
-//! worker thread of a parallel sweep). Three artifact families live in
-//! it, all keyed content-addressed — by a hash of *everything the
-//! computation reads* — so a hit is guaranteed to replay a bit-identical
-//! result:
+//! worker thread of a parallel sweep). Four artifact families live in
+//! its sharded map, all keyed content-addressed — by a hash of
+//! *everything the computation reads* — so a hit is guaranteed to replay
+//! a bit-identical result:
 //!
 //! * **elastic simulations** ([`ElasticSim`]): the expensive cycle-level
 //!   digital simulation, keyed by the dataflow topology (stages, rates,
 //!   buffer geometry, clock) and *not* by energy parameters — so points
 //!   differing only in technology node, bit width, or memory energy
-//!   share one simulation,
+//!   share one simulation. Memory-only; counted in [`CacheStats`]; not
+//!   byte-capped,
 //! * **energy kernel outputs** (`Vec<EnergyItem>`): the per-domain
 //!   energy bookings of [`super::EnergyKernel`]s, keyed by component
 //!   parameters + inferred access counts + the delay budget. The key is
@@ -19,12 +20,29 @@
 //!   input)`, built only in `kernel.rs` — where the invariant digest
 //!   comes from the model's kernel plan (resolved once per model) and
 //!   the per-point input is `T_A` (analog), the frame time (digital
-//!   memory), or nothing (digital compute, interfaces),
+//!   memory), or nothing (digital compute, interfaces). Persisted
+//!   through the tier; counted in [`CacheStats`]; not byte-capped,
+//! * **functional task metrics** ([`TaskMetrics`], behind
+//!   [`EstimateCache::functional_or`]): the accuracy of one Monte-Carlo
+//!   functional simulation, keyed by the functional fingerprint
+//!   (exposure, noise chain, stimulus content, DAG, seeds).
+//!   Memory-only; counted in [`CacheStats`]; not byte-capped,
 //! * **stall verdicts**: the fastest per-stage readout time known to
 //!   pass the constant-rate stall check for a given topology — stall
 //!   freedom is monotone in the readout time, so one cached pass settles
 //!   every slower point. Failures are never cached: each failing point
-//!   re-simulates so its overflow diagnosis stays exact.
+//!   re-simulates so its overflow diagnosis stays exact. Persisted
+//!   through the tier; counted in [`CacheStats`]; not byte-capped.
+//!
+//! Beside the map sits the **frame-base store**: the exposure-free half
+//! of a frame simulation (clean frame, DAG plan and reference pass, and
+//! one set of reusable frame buffers), keyed by the algorithm DAG and
+//! the stimulus content, behind `frame_base_or`. Its entries weigh
+//! megabytes, so it is the one byte-capped family: memory-only, capped
+//! at [`FRAME_BASE_BUDGET_BYTES`] with least-recently-used eviction, and
+//! kept out of [`CacheStats`] (its `cache.frame.*` counters are the
+//! only trace of it), so whether a base was reused never moves a
+//! printed cache line.
 //!
 //! Locking: the map is split into [`SHARD_COUNT`] mutex-guarded shards
 //! selected by the fingerprint's low half, and the shard lock is held
@@ -64,7 +82,8 @@
 //! shortest-round-trip JSON codec, stall minima as raw `f64` bits), so
 //! a tier-warmed cache replays byte-identical estimates. Elastic
 //! simulations stay memory-only — post-arena they cost well under a
-//! millisecond to recompute, less than a disk round-trip is worth.
+//! millisecond to recompute, less than a disk round-trip is worth —
+//! and so do task metrics and frame bases.
 //! Energy keys carry a key domain (`camj.kernel/v2`), so entries a
 //! build with another key scheme wrote to the tier are never found:
 //! each misses once, is recomputed, and is written through under the
@@ -81,10 +100,16 @@ use crate::error::CamjError;
 use crate::functional::TaskMetrics;
 
 use super::breakdown::EnergyItem;
-use super::pipeline::ElasticSim;
+use super::pipeline::{ElasticSim, FrameBase};
 
 /// Number of independent shards; a power of two keeps selection cheap.
 pub const SHARD_COUNT: usize = 64;
+
+/// Resident-size cap of the frame-base store, in bytes: room for a few
+/// Ed-Gaze-sized bases (640×400 frames, about 12 MiB each with their
+/// buffers). Past it the least recently used bases are dropped; a base
+/// larger than the whole budget is built per call and never stored.
+pub const FRAME_BASE_BUDGET_BYTES: u64 = 32 << 20;
 
 /// A persistent content-addressed storage tier behind the in-memory
 /// cache: a byte store keyed by `(family, fingerprint)`.
@@ -249,6 +274,9 @@ pub struct EstimateCache {
     /// [`Self::attach_tier`]) and never replaced, so lookups need no
     /// lock.
     tier: OnceLock<Arc<dyn PersistentTier>>,
+    /// Exposure-free frame-simulation state: memory-only, byte-capped,
+    /// and outside [`CacheStats`].
+    frames: Mutex<FrameStore>,
 }
 
 impl Default for EstimateCache {
@@ -269,7 +297,17 @@ impl EstimateCache {
             misses: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             tier: OnceLock::new(),
+            frames: Mutex::new(FrameStore::new(FRAME_BASE_BUDGET_BYTES)),
         }
+    }
+
+    /// An empty cache whose frame-base store holds `budget` bytes
+    /// instead of [`FRAME_BASE_BUDGET_BYTES`].
+    #[cfg(test)]
+    pub(crate) fn with_frame_budget(budget: u64) -> Self {
+        let cache = Self::new();
+        lock_frames(&cache.frames).budget = budget;
+        cache
     }
 
     /// An empty cache behind an [`Arc`], ready to thread through a sweep.
@@ -347,6 +385,37 @@ impl EstimateCache {
             |_| std::mem::size_of::<TaskMetrics>() as u64 + 32,
             &FUNCTIONAL_COUNTERS,
         )
+    }
+
+    /// The frame base for content address `fp`, building (and storing)
+    /// it on first request. Concurrent requests for the same content
+    /// build it once (late arrivals block on the entry's slot, outside
+    /// the store lock). A stored base is kept until the store's
+    /// [`FRAME_BASE_BUDGET_BYTES`] forces the least recently used ones
+    /// out; a base larger than the whole budget is handed back
+    /// unstored. Lookups and builds count in the `cache.frame.*`
+    /// counters only, never in [`CacheStats`].
+    pub(crate) fn frame_base_or(
+        &self,
+        fp: Fingerprint,
+        build: impl FnOnce() -> FrameBase,
+    ) -> Arc<FrameBase> {
+        let key = fp.shard(SHARD_COUNT) as u64;
+        obs_core::counter("cache.frame.lookup", key, 1);
+        let slot = lock_frames(&self.frames).slot(fp);
+        let mut built = false;
+        let base = Arc::clone(slot.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        }));
+        if built {
+            obs_core::counter("cache.frame.miss", key, 1);
+            let evicted = lock_frames(&self.frames).settle(fp, base.approx_bytes());
+            if evicted > 0 {
+                obs_core::counter("cache.frame.evict", key, evicted);
+            }
+        }
+        base
     }
 
     /// The energy items for kernel input `fp`, computing (and storing)
@@ -601,6 +670,103 @@ impl EstimateCache {
             entries,
             bytes: self.bytes.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Locks the frame-base store, recovering from poisoning: it is only
+/// mutated by whole-entry pushes and removals.
+fn lock_frames(store: &Mutex<FrameStore>) -> MutexGuard<'_, FrameStore> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The frame-base store: a short list of content-addressed slots with
+/// least-recently-used eviction under a byte budget. It holds a handful
+/// of multi-megabyte entries, so a linear scan is the whole index.
+struct FrameStore {
+    budget: u64,
+    /// Bytes of the built entries.
+    bytes: u64,
+    /// Logical clock of the last lookups, for the LRU order.
+    clock: u64,
+    entries: Vec<FrameEntry>,
+}
+
+struct FrameEntry {
+    fp: Fingerprint,
+    slot: Slot<Arc<FrameBase>>,
+    /// Zero while the base is being built.
+    bytes: u64,
+    used: u64,
+}
+
+impl std::fmt::Debug for FrameStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameStore")
+            .field("budget", &self.budget)
+            .field("bytes", &self.bytes)
+            .field("entries", &self.entries.len())
+            .finish()
+    }
+}
+
+impl FrameStore {
+    fn new(budget: u64) -> Self {
+        Self {
+            budget,
+            bytes: 0,
+            clock: 0,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The slot for `fp` — the stored one, or a fresh in-flight one —
+    /// marked as just used.
+    fn slot(&mut self, fp: Fingerprint) -> Slot<Arc<FrameBase>> {
+        self.clock += 1;
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.fp == fp) {
+            entry.used = self.clock;
+            return Arc::clone(&entry.slot);
+        }
+        let slot = Slot::default();
+        self.entries.push(FrameEntry {
+            fp,
+            slot: Arc::clone(&slot),
+            bytes: 0,
+            used: self.clock,
+        });
+        slot
+    }
+
+    /// Books the size of `fp`'s freshly built base: drops the entry
+    /// when the base alone exceeds the budget, else evicts the least
+    /// recently used other built entries until everything fits.
+    /// Returns the number of entries evicted.
+    fn settle(&mut self, fp: Fingerprint, bytes: u64) -> u64 {
+        let Some(index) = self.entries.iter().position(|e| e.fp == fp) else {
+            return 0;
+        };
+        if bytes > self.budget {
+            self.entries.swap_remove(index);
+            return 0;
+        }
+        self.entries[index].bytes = bytes;
+        self.bytes += bytes;
+        let mut evicted = 0;
+        while self.bytes > self.budget {
+            let Some(victim) = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.bytes > 0 && e.fp != fp)
+                .min_by_key(|(_, e)| e.used)
+                .map(|(i, _)| i)
+            else {
+                break;
+            };
+            self.bytes -= self.entries.swap_remove(victim).bytes;
+            evicted += 1;
+        }
+        evicted
     }
 }
 

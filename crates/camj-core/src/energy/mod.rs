@@ -10,7 +10,7 @@ mod model;
 mod pipeline;
 
 pub use breakdown::{EnergyBreakdown, EnergyItem};
-pub use cache::{CacheStats, EstimateCache, PersistentTier, SHARD_COUNT};
+pub use cache::{CacheStats, EstimateCache, PersistentTier, FRAME_BASE_BUDGET_BYTES, SHARD_COUNT};
 pub use category::EnergyCategory;
 pub use kernel::{
     AnalogKernel, DigitalComputeKernel, DigitalMemoryKernel, EnergyKernel, InterfaceKernel,

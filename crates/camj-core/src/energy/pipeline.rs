@@ -40,7 +40,7 @@
 //! point via [`ValidatedModel::with_cache`].
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use camj_digital::functional::{BoxStencil, Resample, Shape};
 use camj_digital::memory::MemoryStructure;
@@ -153,6 +153,10 @@ const SIM_FINGERPRINT_DOMAIN: &str = "camj.sim/v1";
 /// the frame pipeline or DAG semantics change so stale cache keys
 /// cannot alias.
 const FUNCTIONAL_FINGERPRINT_DOMAIN: &str = "camj.functional/v1";
+
+/// Domain tag of the frame-base fingerprint (the exposure-free half of
+/// a frame plan); bump when the clean render or the DAG plan changes.
+const FRAME_BASE_DOMAIN: &str = "camj.frame-base/v1";
 
 /// The FPS-independent result of the **simulate** stage: the elastic
 /// cycle-level simulation and the digital latency derived from it.
@@ -1050,7 +1054,9 @@ impl ValidatedModel {
     /// This is the one-seed case of [`Self::simulate_frames`]: both
     /// run the same per-seed routine, so `simulate_frame(s, …)` is
     /// bit-for-bit member `s` of any Monte-Carlo batch that contains
-    /// it (frame digest, DAG digest, and every stage statistic).
+    /// it (frame digest, DAG digest, and every stage statistic). Both
+    /// share the exposure-free half of the plan through the attached
+    /// [`EstimateCache`], as [`Self::simulate_frames`] describes.
     ///
     /// Determinism contract: the result is a pure function of
     /// `(model, seed, stimulus)` — per-stage RNG streams are derived
@@ -1069,7 +1075,8 @@ impl ValidatedModel {
         seed: u64,
         stimulus: &Stimulus,
     ) -> Result<FrameSimReport, CamjError> {
-        Ok(self.frame_plan(stimulus)?.simulate(seed))
+        let mut reports = self.frame_plan(stimulus)?.simulate_seeds(&[seed]);
+        Ok(reports.pop().expect("one seed, one report"))
     }
 
     /// Simulates the same stimulus under several independent seeds and
@@ -1077,11 +1084,15 @@ impl ValidatedModel {
     /// estimate behind the explorer's `mc_snr:<samples>` objective and
     /// `camj simulate --samples N`.
     ///
-    /// The frame plan (clean frame, per-pixel noise std, DAG reference
-    /// pass) is built once and shared; every seed then runs exactly
-    /// what [`Self::simulate_frame`] runs, in parallel when more than
-    /// one worker is available, and the per-seed reports reduce to
-    /// means and sample standard deviations. Because every seed's RNG
+    /// The frame plan is resolved once and shared: its exposure-free
+    /// base (clean frame, signal level, DAG reference pass) comes from
+    /// the attached [`EstimateCache`] when the same DAG and stimulus
+    /// content was simulated before — by any seed, frame rate, or noise
+    /// chain — and only the per-pixel noise std lanes are rendered at
+    /// this model's exposure. Every seed then runs exactly what
+    /// [`Self::simulate_frame`] runs, in parallel when more than one
+    /// worker is available, and the per-seed reports reduce to means
+    /// and sample standard deviations. Because every seed's RNG
     /// streams are derived by fingerprint-mixing (never shared), each
     /// per-seed frame — and therefore the whole report — is
     /// byte-identical whatever `RAYON_NUM_THREADS` says.
@@ -1098,13 +1109,10 @@ impl ValidatedModel {
         seeds: &[u64],
         stimulus: &Stimulus,
     ) -> Result<McFrameSimReport, CamjError> {
-        use rayon::prelude::*;
         assert!(!seeds.is_empty(), "simulate_frames needs at least one seed");
         let _span = obs_core::span("frame.simulate_mc");
         obs_core::counter("frame.seeds", 0, seeds.len() as u64);
-        let plan = self.frame_plan(stimulus)?;
-        let reports: Vec<FrameSimReport> =
-            seeds.par_iter().map(|&seed| plan.simulate(seed)).collect();
+        let reports = self.frame_plan(stimulus)?.simulate_seeds(seeds);
         let stages = reports[0]
             .stages
             .iter()
@@ -1267,40 +1275,7 @@ impl ValidatedModel {
                 None => h.write_bool(false),
             }
         }
-        match &*self.stimulus {
-            Stimulus::Uniform { level } => {
-                h.write_tag(1);
-                h.write_f64(*level);
-            }
-            Stimulus::Gradient { low, high } => {
-                h.write_tag(2);
-                h.write_f64(*low);
-                h.write_f64(*high);
-            }
-            Stimulus::Image {
-                width,
-                height,
-                pixels,
-                ..
-            } => {
-                h.write_tag(3);
-                h.write_u32(*width);
-                h.write_u32(*height);
-                h.write_f64_slice_bulk(pixels);
-            }
-        }
-        use camj_tech::fingerprint::Fingerprintable;
-        let stages = self.algo.stages();
-        h.write_usize(stages.len());
-        for stage in stages {
-            stage.feed(&mut h);
-        }
-        let edges = self.algo.edge_names();
-        h.write_usize(edges.len());
-        for (from, to) in edges {
-            h.write_str(from);
-            h.write_str(to);
-        }
+        feed_frame_content(&mut h, &self.algo, &self.stimulus);
         h.write_usize(seeds.len());
         for seed in seeds {
             h.write_u64(*seed);
@@ -1309,10 +1284,20 @@ impl ValidatedModel {
     }
 
     /// Resolves everything about a frame simulation that does not
-    /// depend on the seed: the rendered clean frame, the signal level,
-    /// every noisy stage's per-pixel noise standard deviation, and the
-    /// digital-DAG plan with its reference pass. One plan serves every
-    /// seed of a Monte-Carlo run.
+    /// depend on the seed, in two halves:
+    ///
+    /// * the [`FrameBase`] — the rendered clean frame, the signal level,
+    ///   and the digital-DAG plan with its reference pass. No frame
+    ///   rate, exposure, or noise source reaches it, so with an
+    ///   [`EstimateCache`] attached it is shared, keyed by
+    ///   [`frame_base_fingerprint`], by every seed, every grid point,
+    ///   and every later request over the same DAG and stimulus
+    ///   content; without a cache it is built per call;
+    /// * the noise lanes — every noisy stage's per-pixel noise standard
+    ///   deviation at this model's exposure — and the quantizers,
+    ///   resolved per call into the base's reusable buffers.
+    ///
+    /// One plan serves every seed of a Monte-Carlo run.
     fn frame_plan(&self, stimulus: &Stimulus) -> Result<FramePlan, CamjError> {
         let _span = obs_core::span("frame.plan");
         let delay = self.estimate_delay()?;
@@ -1327,18 +1312,16 @@ impl ValidatedModel {
             })?;
         let size = input.output_size();
         let (width, height, channels) = (size.width, size.height, size.channels);
-        let pixels = size.count() as usize;
-
-        let clean = {
-            let _span = obs_core::span("frame.render");
-            stimulus.render(width, height, channels)
+        let build = || FrameBase::build(&self.algo, (width, height, channels), stimulus);
+        let base = match &self.cache {
+            Some(cache) => cache.frame_base_or(frame_base_fingerprint(&self.algo, stimulus), build),
+            None => Arc::new(build()),
         };
-        let signal_rms = (clean.iter().map(|v| v * v).sum::<f64>() / pixels.max(1) as f64).sqrt();
-        let dag = DagPlan::build(&self.algo, (width, height, channels), &clean);
 
         let exposure = delay.analog_unit_time;
         let temperature_k = camj_tech::constants::DEFAULT_TEMPERATURE_K;
         let (_, plan) = self.kernel_plan()?;
+        let FrameScratch { mut lanes, seed } = base.take_scratch();
         let stages = plan
             .noise_chain
             .iter()
@@ -1347,7 +1330,15 @@ impl ValidatedModel {
                 // no samples.
                 std: (!stage.sources.is_empty()).then(|| {
                     let noise = PixelNoise::new(&stage.sources, exposure, temperature_k);
-                    stimulus.render_with(width, height, channels, |level| noise.std(level))
+                    let mut lane = lanes.pop().unwrap_or_default();
+                    stimulus.render_with(
+                        width,
+                        height,
+                        channels,
+                        |level| noise.std(level),
+                        &mut lane,
+                    );
+                    lane
                 }),
                 unit: stage.unit.clone(),
                 quantizer: stage.quant_bits.map(Quantizer::new),
@@ -1355,15 +1346,62 @@ impl ValidatedModel {
             .collect();
         Ok(FramePlan {
             stimulus: stimulus.to_string(),
-            width,
-            height,
-            channels,
-            clean,
-            signal_rms,
             stages,
-            dag,
+            spare_seeds: Mutex::new(vec![seed]),
+            base,
         })
     }
+}
+
+/// Feeds the functional *content* a frame simulation reads besides its
+/// noise: the stimulus (pixel data included, path excluded) and the
+/// algorithm DAG — every stage with its shapes and bit width, and every
+/// edge. Both functional content addresses hash it through here.
+fn feed_frame_content(h: &mut FpHasher, algo: &AlgorithmGraph, stimulus: &Stimulus) {
+    use camj_tech::fingerprint::Fingerprintable;
+    match stimulus {
+        Stimulus::Uniform { level } => {
+            h.write_tag(1);
+            h.write_f64(*level);
+        }
+        Stimulus::Gradient { low, high } => {
+            h.write_tag(2);
+            h.write_f64(*low);
+            h.write_f64(*high);
+        }
+        Stimulus::Image {
+            width,
+            height,
+            pixels,
+            ..
+        } => {
+            h.write_tag(3);
+            h.write_u32(*width);
+            h.write_u32(*height);
+            h.write_f64_slice_bulk(pixels);
+        }
+    }
+    let stages = algo.stages();
+    h.write_usize(stages.len());
+    for stage in stages {
+        stage.feed(h);
+    }
+    let edges = algo.edge_names();
+    h.write_usize(edges.len());
+    for (from, to) in edges {
+        h.write_str(from);
+        h.write_str(to);
+    }
+}
+
+/// The content address of a [`FrameBase`]: the algorithm DAG and the
+/// stimulus content, nothing else — the base reads no frame rate, no
+/// exposure, and no noise source.
+fn frame_base_fingerprint(algo: &AlgorithmGraph, stimulus: &Stimulus) -> Fingerprint {
+    let mut h = FpHasher::new();
+    h.write_str(FRAME_BASE_DOMAIN);
+    feed_frame_content(&mut h, algo, stimulus);
+    h.finish()
 }
 
 /// The analytic noise budget of a resolved noise chain for an
@@ -1492,21 +1530,130 @@ struct PlanStage {
     quantizer: Option<Quantizer>,
 }
 
-/// Everything about a frame simulation that is independent of the
-/// seed. Plain shared data — seeds simulate concurrently against one
-/// plan.
-struct FramePlan {
-    stimulus: String,
+/// The half of a frame simulation that depends on neither the seed nor
+/// the exposure: the clean frame, its signal level, and the digital-DAG
+/// plan with its reference pass. A function of the algorithm DAG and
+/// the stimulus content alone ([`frame_base_fingerprint`]), so one
+/// immutable base serves every model, frame rate, noise chain, and seed
+/// over that content.
+///
+/// It also lends one set of per-frame buffers ([`FrameScratch`]) to one
+/// simulation at a time, so a cached base keeps its multi-megabyte
+/// frames resident instead of allocating (and page-faulting) them on
+/// every call. A concurrent simulation finds the set lent out and
+/// allocates its own. Every buffer is overwritten before it is read, so
+/// what a borrower left behind never reaches a result.
+pub(crate) struct FrameBase {
     width: u32,
     height: u32,
     channels: u32,
     clean: Vec<f64>,
     signal_rms: f64,
-    stages: Vec<PlanStage>,
-    /// The digital-DAG functional pass, resolved once per plan (clean
-    /// reference tensors included); `None` when the algorithm has no
-    /// non-input stages.
+    /// The digital-DAG functional pass (clean reference tensors
+    /// included); `None` when the algorithm has no non-input stages.
     dag: Option<DagPlan>,
+    scratch: Mutex<Option<FrameScratch>>,
+}
+
+/// The reusable buffers of one frame plan: the noise lanes, and one
+/// seed's frame and DAG tensors.
+#[derive(Default)]
+struct FrameScratch {
+    lanes: Vec<Vec<f64>>,
+    seed: SeedScratch,
+}
+
+/// The buffers one seed's simulation writes: the noisy frame and the
+/// DAG pass's tensors.
+#[derive(Default)]
+struct SeedScratch {
+    noisy: Vec<f64>,
+    dag: DagScratch,
+}
+
+impl FrameBase {
+    fn build(algo: &AlgorithmGraph, shape: Shape, stimulus: &Stimulus) -> FrameBase {
+        let _span = obs_core::span("frame.base");
+        let (width, height, channels) = shape;
+        let clean = {
+            let _span = obs_core::span("frame.render");
+            stimulus.render(width, height, channels)
+        };
+        let signal_rms =
+            (clean.iter().map(|v| v * v).sum::<f64>() / clean.len().max(1) as f64).sqrt();
+        let dag = DagPlan::build(algo, shape, &clean);
+        FrameBase {
+            width,
+            height,
+            channels,
+            clean,
+            signal_rms,
+            dag,
+            scratch: Mutex::new(None),
+        }
+    }
+
+    /// Approximate resident size once a simulation has used the base:
+    /// the clean frame and the DAG references, plus the lent buffers —
+    /// a noisy frame, the DAG outputs, and two noise lanes (a pixel
+    /// front end and a converter, the common noisy chain).
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let frame = self.clean.len() as u64;
+        let references = self.dag.as_ref().map_or(0, |dag| {
+            dag.references.iter().map(|t| t.len() as u64).sum::<u64>()
+        });
+        8 * (frame * 4 + references * 2) + 256
+    }
+
+    /// Borrows the buffer set, or a fresh one while it is lent out.
+    fn take_scratch(&self) -> FrameScratch {
+        lock_scratch(&self.scratch).take().unwrap_or_default()
+    }
+
+    /// Returns a buffer set for the next simulation (dropped when the
+    /// base already holds one).
+    fn put_scratch(&self, scratch: FrameScratch) {
+        lock_scratch(&self.scratch).get_or_insert(scratch);
+    }
+}
+
+/// Locks a base's buffer slot, recovering from poisoning: the slot
+/// holds whole buffer sets, which no panic can leave half-written in a
+/// way a later reader would see (every buffer is overwritten first).
+fn lock_scratch(slot: &Mutex<Option<FrameScratch>>) -> MutexGuard<'_, Option<FrameScratch>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything about one frame simulation that is independent of the
+/// seed: the shared [`FrameBase`] plus this call's noise lanes. Seeds
+/// simulate concurrently against one plan, each in a borrowed
+/// [`SeedScratch`]; dropping the plan hands its buffers back to the
+/// base.
+struct FramePlan {
+    base: Arc<FrameBase>,
+    /// The stimulus as the report labels it (the path of an image
+    /// included, unlike the base's key).
+    stimulus: String,
+    stages: Vec<PlanStage>,
+    /// Seed buffers no seed is using right now.
+    spare_seeds: Mutex<Vec<SeedScratch>>,
+}
+
+impl Drop for FramePlan {
+    fn drop(&mut self) {
+        let lanes = self
+            .stages
+            .iter_mut()
+            .filter_map(|stage| stage.std.take())
+            .collect();
+        let seeds = self
+            .spare_seeds
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(seed) = seeds.pop() {
+            self.base.put_scratch(FrameScratch { lanes, seed });
+        }
+    }
 }
 
 /// Pixels processed per span: the normal scratch buffer stays
@@ -1515,7 +1662,29 @@ struct FramePlan {
 const FRAME_CHUNK: usize = 1024;
 
 impl FramePlan {
-    /// Pushes one seeded noise realisation through the planned chain.
+    /// Every seed's frame, in seed order: in parallel when more than
+    /// one worker is available and there is more than one seed, each
+    /// seed in a seed buffer set no other seed is using.
+    fn simulate_seeds(&self, seeds: &[u64]) -> Vec<FrameSimReport> {
+        use rayon::prelude::*;
+        seeds
+            .par_iter()
+            .map(|&seed| {
+                let spare = || {
+                    self.spare_seeds
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                };
+                let mut scratch = spare().pop().unwrap_or_default();
+                let report = self.simulate(seed, &mut scratch);
+                spare().push(scratch);
+                report
+            })
+            .collect()
+    }
+
+    /// Pushes one seeded noise realisation through the planned chain,
+    /// writing the frame and the DAG tensors into `scratch`.
     ///
     /// Noise is drawn with the ziggurat sampler
     /// ([`rand::normal::fill_standard_normal_fast`]) — exactly N(0, 1)
@@ -1531,15 +1700,16 @@ impl FramePlan {
     /// RNG stream and draws one span of it per span, so the draws match
     /// a stage-by-stage walk of the whole frame; each accumulator sums
     /// in pixel order, as a whole-frame pass would.
-    fn simulate(&self, seed: u64) -> FrameSimReport {
+    fn simulate(&self, seed: u64, scratch: &mut SeedScratch) -> FrameSimReport {
         // One coarse span per frame; the chunked loops below are never
         // probed individually.
         let _span = obs_core::span("frame.simulate");
-        obs_core::counter("frame.pixels", 0, self.clean.len() as u64);
+        let base = &*self.base;
+        obs_core::counter("frame.pixels", 0, base.clean.len() as u64);
         obs_core::counter(
             "frame.chunks",
             0,
-            (self.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
+            (base.clean.len().div_ceil(FRAME_CHUNK) * self.stages.len()) as u64,
         );
         let mut rngs: Vec<_> = self
             .stages
@@ -1550,7 +1720,9 @@ impl FramePlan {
         // Squared error of each stage's output against the clean frame.
         let mut sq = vec![0.0_f64; self.stages.len()];
         let mut normals = [0.0_f64; FRAME_CHUNK];
-        let mut noisy: Vec<f64> = Vec::with_capacity(self.clean.len());
+        let noisy = &mut scratch.noisy;
+        noisy.clear();
+        noisy.reserve(base.clean.len());
         let mut sum = 0.0;
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut h = FpHasher::new();
@@ -1566,7 +1738,7 @@ impl FramePlan {
             h.write_f64_slice_bulk(std::slice::from_ref(&v));
         };
         let last = self.stages.len().checked_sub(1);
-        for clean_span in self.clean.chunks(FRAME_CHUNK) {
+        for clean_span in base.clean.chunks(FRAME_CHUNK) {
             let start = noisy.len();
             noisy.extend_from_slice(clean_span);
             let span = &mut noisy[start..];
@@ -1603,7 +1775,7 @@ impl FramePlan {
                 StageSim {
                     unit: stage.unit.clone(),
                     noise_rms,
-                    snr_db: functional::snr_db(self.signal_rms, noise_rms),
+                    snr_db: functional::snr_db(base.signal_rms, noise_rms),
                 }
             })
             .collect();
@@ -1614,21 +1786,24 @@ impl FramePlan {
         FrameSimReport {
             seed,
             stimulus: self.stimulus.clone(),
-            width: self.width,
-            height: self.height,
-            channels: self.channels,
+            width: base.width,
+            height: base.height,
+            channels: base.channels,
             stages,
             output: OutputStats {
                 mean: sum / len,
                 min,
                 max,
                 noise_rms,
-                snr_db: functional::snr_db(self.signal_rms, noise_rms),
+                snr_db: functional::snr_db(base.signal_rms, noise_rms),
             },
             digest: format!("{hi:016x}{lo:016x}"),
             // The DAG pass runs on the finished frame and adds no
             // randomness.
-            dag: self.dag.as_ref().map(|dag| dag.run(&noisy)),
+            dag: base
+                .dag
+                .as_ref()
+                .map(|dag| dag.run(&scratch.noisy, &mut scratch.dag)),
         }
     }
 }
@@ -1719,6 +1894,15 @@ struct DagPlanStage {
     name: String,
     out_shape: Shape,
     step: DagStep,
+}
+
+/// The buffers of one DAG pass: each plan stage's output tensor, and
+/// the adapted-operand and combined-operand buffers.
+#[derive(Default)]
+struct DagScratch {
+    outputs: Vec<Vec<f64>>,
+    adapted: Vec<Vec<f64>>,
+    combined: Vec<f64>,
 }
 
 /// The resolved digital-DAG functional pass: every non-input stage of
@@ -1846,7 +2030,9 @@ impl DagPlan {
         };
         let references = {
             let _span = obs_core::span("functional.reference");
-            plan.execute(clean)
+            let mut scratch = DagScratch::default();
+            plan.execute(clean, &mut scratch);
+            scratch.outputs
         };
         for (i, stage) in plan.stages.iter().enumerate() {
             let rms = match stage.step {
@@ -1872,17 +2058,25 @@ impl DagPlan {
         }
     }
 
-    /// Pushes one source frame through every stage, returning the
-    /// per-stage output tensors in plan order (an alias stage's entry
-    /// is empty; read stage outputs through [`Self::output`]). The
+    /// Pushes one source frame through every stage into
+    /// `scratch.outputs`: the per-stage output tensors in plan order (an
+    /// alias stage's entry is empty; read stage outputs through
+    /// [`Self::output`]). Every buffer of `scratch` is overwritten
+    /// before it is read, so one scratch serves pass after pass; the
     /// adapted-operand and combined-operand buffers are reused across
-    /// stages.
-    fn execute(&self, source: &[f64]) -> Vec<Vec<f64>> {
-        let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(self.stages.len());
-        let mut adapted: Vec<Vec<f64>> = Vec::new();
-        let mut combined: Vec<f64> = Vec::new();
-        for stage in &self.stages {
-            let mut out = Vec::new();
+    /// stages as well.
+    fn execute(&self, source: &[f64], scratch: &mut DagScratch) {
+        let DagScratch {
+            outputs,
+            adapted,
+            combined,
+        } = scratch;
+        outputs.resize_with(self.stages.len(), Vec::new);
+        for (index, stage) in self.stages.iter().enumerate() {
+            let (done, rest) = outputs.split_at_mut(index);
+            // Every kernel clears its output first; an alias's entry is
+            // never written.
+            let out = &mut rest[0];
             if let DagStep::Run {
                 operands,
                 kernel,
@@ -1893,7 +2087,7 @@ impl DagPlan {
                     if slot == 0 {
                         source
                     } else {
-                        &outputs[slot - 1]
+                        &done[slot - 1]
                     }
                 };
                 if adapted.len() < operands.len() {
@@ -1906,7 +2100,7 @@ impl DagPlan {
                 }
                 let inputs: Vec<&[f64]> = operands
                     .iter()
-                    .zip(&adapted)
+                    .zip(adapted.iter())
                     .map(|(operand, buffer)| match operand.adapt {
                         Some(_) => buffer.as_slice(),
                         None => tensor(operand.slot),
@@ -1920,38 +2114,33 @@ impl DagPlan {
                     (_, DagKernel::Resample(resample))
                         if inputs.len() > 1 && resample.is_identity() =>
                     {
-                        camj_digital::functional::elementwise_mean(&inputs, *requantize, &mut out);
+                        camj_digital::functional::elementwise_mean(&inputs, *requantize, out);
                     }
                     (inputs, kernel) => {
                         let input = if let [only] = inputs {
                             only
                         } else {
-                            camj_digital::functional::elementwise_mean(inputs, None, &mut combined);
+                            camj_digital::functional::elementwise_mean(inputs, None, combined);
                             combined.as_slice()
                         };
                         match kernel {
-                            DagKernel::Stencil(stencil) => {
-                                stencil.run(input, *requantize, &mut out)
-                            }
-                            DagKernel::Resample(resample) => {
-                                resample.run(input, *requantize, &mut out)
-                            }
+                            DagKernel::Stencil(stencil) => stencil.run(input, *requantize, out),
+                            DagKernel::Resample(resample) => resample.run(input, *requantize, out),
                         }
                     }
                 }
             }
-            outputs.push(out);
         }
-        outputs
     }
 
     /// Runs the noisy pass and measures every stage against its clean
     /// reference, judging the sink at the task level.
-    fn run(&self, noisy: &[f64]) -> DagSim {
+    fn run(&self, noisy: &[f64], scratch: &mut DagScratch) -> DagSim {
         let _span = obs_core::span("functional.dag");
         obs_core::counter("functional.stages", 0, self.stages.len() as u64);
-        let outputs = self.execute(noisy);
-        let sink_out = self.output(&outputs, self.sink);
+        self.execute(noisy, scratch);
+        let outputs = &scratch.outputs;
+        let sink_out = self.output(outputs, self.sink);
         let (sw, sh, _) = self.stages[self.sink].out_shape;
         let metrics = TaskMetrics::against(
             sink_out,
@@ -1962,7 +2151,7 @@ impl DagPlan {
         );
         let mut errors: Vec<f64> = Vec::with_capacity(self.stages.len());
         for (i, stage) in self.stages.iter().enumerate() {
-            let out = self.output(&outputs, i);
+            let out = self.output(outputs, i);
             errors.push(match stage.step {
                 // An alias measures its stage's tensors again.
                 DagStep::Alias(aliased) => errors[aliased],
@@ -2393,7 +2582,9 @@ mod tests {
             let clean = tensor(&mut rng);
             let noisy = tensor(&mut rng);
             let plan = DagPlan::build(&algo, frame_shape, &clean).unwrap();
-            let outputs = plan.execute(&noisy);
+            let mut scratch = DagScratch::default();
+            plan.execute(&noisy, &mut scratch);
+            let outputs = scratch.outputs;
             let oracle_outputs = oracle_dag(&algo, frame_shape, &noisy);
             let oracle_references = oracle_dag(&algo, frame_shape, &clean);
             let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
@@ -2409,8 +2600,134 @@ mod tests {
                 );
             }
             let oracle = oracle_dag_sim(&algo, frame_shape, &clean, &noisy).unwrap();
-            prop_assert_eq!(plan.run(&noisy), oracle);
+            prop_assert_eq!(plan.run(&noisy, &mut DagScratch::default()), oracle);
         }
+    }
+
+    /// The base a model's frame plan for `stimulus` runs on.
+    fn base_of(model: &ValidatedModel, stimulus: &Stimulus) -> Arc<FrameBase> {
+        Arc::clone(&model.frame_plan(stimulus).unwrap().base)
+    }
+
+    /// The frame base is keyed by content alone: models that differ only
+    /// in frame rate or in noise sources share one base, and each
+    /// simulates exactly what it simulates without a cache — also on
+    /// buffers an earlier simulation of another model left behind.
+    #[test]
+    fn frame_bases_are_shared_across_fps_and_noise_sources() {
+        let cache = EstimateCache::shared();
+        let stimulus = Stimulus::gradient(0.1, 0.9);
+        let quiet = toy_model(12, 8, 0);
+        let models = [
+            quiet.with_fps(60.0),
+            toy_model(12, 8, 2),
+            quiet.clone(),
+            toy_model(12, 8, 1).with_fps(15.0),
+        ];
+        let base = base_of(&quiet.clone().with_cache(Arc::clone(&cache)), &stimulus);
+        for (i, model) in models.iter().enumerate() {
+            let cached = model.clone().with_cache(Arc::clone(&cache));
+            assert!(
+                Arc::ptr_eq(&base, &base_of(&cached, &stimulus)),
+                "model {i}"
+            );
+            let seeds = [3, 7 + i as u64];
+            assert_eq!(
+                cached.simulate_frames(&seeds, &stimulus).unwrap(),
+                model.simulate_frames(&seeds, &stimulus).unwrap(),
+                "model {i}"
+            );
+            assert_eq!(
+                cached.simulate_frame(5, &stimulus).unwrap(),
+                model.simulate_frame(5, &stimulus).unwrap(),
+                "model {i}"
+            );
+        }
+        // No `CacheStats` line moves: the store counts apart.
+        assert_eq!(cache.stats().entries, 1, "only the elastic simulation");
+    }
+
+    /// Any change to what the base reads changes its key: image pixels,
+    /// the input shape, a stage's bit width, an edge. The image's path
+    /// is a label, not content.
+    #[test]
+    fn frame_base_keys_cover_pixels_shape_bits_and_edges() {
+        let image = |path: &str, corner: f64| Stimulus::Image {
+            path: path.to_owned(),
+            width: 2,
+            height: 2,
+            pixels: vec![corner, 0.25, 0.5, 0.75],
+        };
+        let graph = |height: u32, bits: u32, chained: bool| {
+            let mut algo = AlgorithmGraph::new();
+            algo.add_stage(Stage::input("Input", [8, height, 1]));
+            algo.add_stage(Stage::element_wise("A", [8, height, 1], 1).with_bits(bits));
+            algo.add_stage(Stage::element_wise("B", [8, height, 1], 1));
+            algo.connect("Input", "A").unwrap();
+            algo.connect(if chained { "A" } else { "Input" }, "B")
+                .unwrap();
+            algo
+        };
+        let key = frame_base_fingerprint;
+        let (algo, stimulus) = (graph(6, 8, true), image("eye.pgm", 0.0));
+        let reference = key(&algo, &stimulus);
+        assert_eq!(
+            reference,
+            key(&graph(6, 8, true), &image("elsewhere/eye.pgm", 0.0))
+        );
+        for (what, other) in [
+            ("pixels", key(&algo, &image("eye.pgm", 1.0 / 256.0))),
+            ("input shape", key(&graph(5, 8, true), &stimulus)),
+            ("stage bits", key(&graph(6, 10, true), &stimulus)),
+            ("edges", key(&graph(6, 8, false), &stimulus)),
+            ("stimulus kind", key(&algo, &Stimulus::uniform(0.0))),
+        ] {
+            assert_ne!(reference, other, "{what}");
+        }
+    }
+
+    /// The store keeps what fits its byte budget, evicting the least
+    /// recently used base first; a base over the whole budget is built
+    /// per call. Rebuilt bases simulate byte-identically.
+    #[test]
+    fn frame_bases_over_the_budget_are_rebuilt_identically() {
+        let model = toy_model(12, 8, 2);
+        let stimulus = |level: f64| Stimulus::uniform(level);
+        let one = base_of(&model, &stimulus(0.5)).approx_bytes();
+        let seeds = [1, 2, 3];
+        let expected = model.simulate_frames(&seeds, &stimulus(0.5)).unwrap();
+
+        let tiny = Arc::new(EstimateCache::with_frame_budget(one - 1));
+        let over = model.clone().with_cache(tiny);
+        assert!(!Arc::ptr_eq(
+            &base_of(&over, &stimulus(0.5)),
+            &base_of(&over, &stimulus(0.5))
+        ));
+        assert_eq!(
+            over.simulate_frames(&seeds, &stimulus(0.5)).unwrap(),
+            expected
+        );
+
+        let pair = Arc::new(EstimateCache::with_frame_budget(2 * one));
+        let two = model.clone().with_cache(pair);
+        let (a, b) = (
+            base_of(&two, &stimulus(0.5)),
+            base_of(&two, &stimulus(0.25)),
+        );
+        assert!(
+            Arc::ptr_eq(&a, &base_of(&two, &stimulus(0.5))),
+            "a is now fresher"
+        );
+        let _c = base_of(&two, &stimulus(0.75));
+        assert!(Arc::ptr_eq(&a, &base_of(&two, &stimulus(0.5))), "a stays");
+        assert!(
+            !Arc::ptr_eq(&b, &base_of(&two, &stimulus(0.25))),
+            "b was evicted"
+        );
+        assert_eq!(
+            two.simulate_frames(&seeds, &stimulus(0.5)).unwrap(),
+            expected
+        );
     }
 
     /// Ed-Gaze's DAG — a 2×2 binning stencil, a one-operand element-wise
@@ -2447,6 +2764,6 @@ mod tests {
             }
         ));
         let oracle = oracle_dag_sim(&algo, (16, 10, 1), &clean, &noisy).unwrap();
-        assert_eq!(plan.run(&noisy), oracle);
+        assert_eq!(plan.run(&noisy, &mut DagScratch::default()), oracle);
     }
 }

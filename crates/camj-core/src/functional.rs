@@ -208,10 +208,13 @@ impl Stimulus {
     /// the simulator's canonical order (rows, then columns, channels
     /// interleaved). Every channel of a pixel carries the same value.
     pub(crate) fn render(&self, width: u32, height: u32, channels: u32) -> Vec<f64> {
-        self.render_with(width, height, channels, |level| level)
+        let mut frame = Vec::new();
+        self.render_with(width, height, channels, |level| level, &mut frame);
+        frame
     }
 
-    /// [`Self::render`] of an element-wise function of the clean level:
+    /// [`Self::render`] of an element-wise function of the clean level,
+    /// into `out` (its old contents are dropped, its capacity reused):
     /// bit for bit, `value` applied to every element of the clean
     /// frame. Each source level is mapped once — the one level of a
     /// flat field, each column of a ramp, each pixel of an image — and
@@ -229,10 +232,12 @@ impl Stimulus {
         height: u32,
         channels: u32,
         value: impl Fn(f64) -> f64,
-    ) -> Vec<f64> {
+        out: &mut Vec<f64>,
+    ) {
         let len = width as usize * height as usize * channels as usize;
+        out.clear();
         match self {
-            Stimulus::Uniform { level } => vec![value(*level); len],
+            Stimulus::Uniform { level } => out.resize(len, value(*level)),
             Stimulus::Gradient { low, high } => {
                 let row: Vec<f64> = (0..width)
                     .flat_map(|x| {
@@ -244,7 +249,9 @@ impl Stimulus {
                         std::iter::repeat(value(level)).take(channels as usize)
                     })
                     .collect();
-                row.repeat(height as usize)
+                for _ in 0..height {
+                    out.extend_from_slice(&row);
+                }
             }
             Stimulus::Image {
                 width: iw,
@@ -252,13 +259,10 @@ impl Stimulus {
                 pixels,
                 ..
             } => {
-                let mut frame = Vec::new();
                 if len > 0 {
                     let mapped: Vec<f64> = pixels.iter().map(|&level| value(level)).collect();
-                    Resample::new((*iw, *ih, 1), (width, height, channels))
-                        .run(&mapped, None, &mut frame);
+                    Resample::new((*iw, *ih, 1), (width, height, channels)).run(&mapped, None, out);
                 }
-                frame
             }
         }
     }

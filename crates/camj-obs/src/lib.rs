@@ -295,6 +295,9 @@ impl Recording {
 /// * `cache.tier.*` disk-tier counters: which concurrent requester
 ///   reads an entry from disk versus finds it already decoded in
 ///   memory is an interleaving race, exactly like `*.hit`.
+/// * `cache.frame.*` frame-base store counters: which bases a byte
+///   budget evicts, and so which later lookups miss again, follows the
+///   order concurrent requests touched them in.
 /// * `serve.*` daemon spans/counters: accepts, queue waits, and dedup
 ///   joins depend on client arrival order and worker scheduling, never
 ///   on the estimates themselves.
@@ -310,6 +313,7 @@ pub fn is_racy(name: &str) -> bool {
         || name.ends_with(".wait")
         || name.starts_with("cache.stall.")
         || name.starts_with("cache.tier.")
+        || name.starts_with("cache.frame.")
         || name.starts_with("sim.")
         || name.starts_with("serve.")
         || name == "pipeline.stall_check"
@@ -395,6 +399,7 @@ mod tests {
         assert!(is_racy("cache.energy.hit"));
         assert!(is_racy("cache.elastic.wait"));
         assert!(is_racy("cache.stall.lookup"));
+        assert!(is_racy("cache.frame.evict"));
         assert!(is_racy("pipeline.stall_check"));
         assert!(is_racy("sim.run"));
         assert!(is_racy("sim.cycles"));
