@@ -3,6 +3,7 @@
 
 mod engine;
 mod error;
+mod replay;
 mod report;
 
 pub use engine::{NodeId, PipelineSim, PipelineSimBuilder, SourceMode};
