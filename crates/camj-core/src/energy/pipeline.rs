@@ -593,9 +593,9 @@ impl ValidatedModel {
         let budget =
             (delay.frame_time.secs() * self.hw.digital_clock_hz() * 2.0) as u64 + 1_000_000;
         // Verdict-only: a passing stall check discards the report, so
-        // the simulator may fast-forward recurrent readout periods; a
-        // failing one re-simulates exactly inside `run_check` so the
-        // diagnosis below matches a cycle-exact run byte for byte.
+        // the simulator may stop once the readout periods provably
+        // recur; a failing one stops on the cycle a full run does, so
+        // the diagnosis below matches it byte for byte.
         match sim.run_check(budget.min(MAX_SIM_CYCLES)) {
             Ok(()) => {
                 self.record_stall_pass(plan, t_a);

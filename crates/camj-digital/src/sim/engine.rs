@@ -41,10 +41,9 @@
 //! ## Skipping cycles
 //!
 //! Most cycles of a frame are never stepped one by one. When only the
-//! sources fire, every consumer is waiting for tokens, and the idle
-//! fast-forward applies the coming source firings as one batch. When
-//! the same node set fires two cycles running and `Arena::leap_cycles`
-//! proves the pattern persists, a *leap* replays those cycles
+//! sources fire (every consumer is waiting for tokens), or the same
+//! node set fires two cycles running, and `Arena::leap_cycles` proves
+//! the firing set persists, a *leap* replays the coming cycles
 //! bit-identically to stepping them: every edge's `produced` and
 //! `consumed` are then independent chains `x ← fl(x + rate)`, which
 //! the `replay` module advances in closed form, one piece per float
@@ -52,8 +51,9 @@
 //! monotone, so the running peak and the consumer's level check are
 //! settled at the piece's two endpoints, and a bisection finds the
 //! first short cycle, where stepping resumes. On Ed-Gaze 2D-In, five
-//! leaps replay 264,696 of 264,708 cycles. A proptest over random
-//! graphs holds every leap to a run that steps every cycle.
+//! leaps replay 264,696 of 264,708 cycles. Leaping is the only way
+//! cycles are skipped, and proptests over random graphs hold every
+//! leap to a run that steps every cycle.
 
 use camj_tech::units::Time;
 
@@ -432,87 +432,29 @@ mod arena {
             })
         }
 
-        /// How many identical cycles can be skipped while only sources
-        /// fire: bounded by (a) the first consumer in-edge reaching
-        /// its need, (b) any firing source filling its buffer, and
-        /// (c) any firing source exhausting its total.
-        pub(super) fn idle_skip_cycles(&self, fired_sources: &[u32], state: &RunState) -> u64 {
-            const MAX_SKIP: u64 = 1 << 40;
-            let mut k = MAX_SKIP;
-            // (a) consumer deficits on source-fed edges.
-            for &si in fired_sources {
-                for &e in self.out_edges(si as usize) {
-                    let e = e as usize;
-                    if state.consumed_done[e] {
-                        continue;
-                    }
-                    let ed = &self.edges[e];
-                    let need = ed.consumer_rate.min(ed.total - state.consumed[e]);
-                    let level = (state.produced[e] - state.consumed[e]).max(0.0);
-                    let deficit = need - level;
-                    if deficit > ed.tolerance && ed.producer_rate > 0.0 {
-                        k = k.min((deficit / ed.producer_rate).ceil() as u64);
-                    }
-                }
-            }
-            if k == MAX_SKIP {
-                return 1;
-            }
-            // (b) capacity and (c) totals on every firing source's
-            // out-edges.
-            for &si in fired_sources {
-                for &e in self.out_edges(si as usize) {
-                    let e = e as usize;
-                    if state.produced_done[e] {
-                        continue;
-                    }
-                    let ed = &self.edges[e];
-                    let level = (state.produced[e] - state.consumed[e]).max(0.0);
-                    let headroom = ((ed.capacity - level) / ed.producer_rate).floor() as u64;
-                    let remaining =
-                        ((ed.total - state.produced[e]) / ed.producer_rate).ceil() as u64;
-                    k = k.min(headroom.max(1)).min(remaining.max(1));
-                }
-            }
-            k.max(1)
-        }
-
-        /// Applies `times` identical firings of a source in one
-        /// batched step.
-        pub(super) fn fire_source_batch(&self, si: usize, times: u64, state: &mut RunState) {
-            for &e in self.out_edges(si) {
-                let e = e as usize;
-                if state.produced_done[e] {
-                    continue;
-                }
-                let ed = &self.edges[e];
-                let amount = (ed.producer_rate * times as f64).min(ed.total - state.produced[e]);
-                state.produced[e] += amount;
-                let level = (state.produced[e] - state.consumed[e]).max(0.0);
-                state.peak[e] = state.peak[e].max(level);
-                if state.produced[e] >= ed.done_at {
-                    state.mark_produced_done(e, self.edge_producer[e]);
-                }
-            }
-            state.fired[si] += times;
-        }
-
         /// Verdict-only steady-state early pass: returns `true` when
         /// the run is provably stable and will finish without a stall,
         /// so stepping can stop with a `Done` verdict immediately.
         ///
-        /// Sampled once per idle fast-forward event (one readout
-        /// period in a stall-shaped pipeline). With constant rates,
-        /// fractional readout phases make buffer levels *quasi*-
-        /// periodic — they wander in a bounded band rather than recur
-        /// exactly — so the criterion is band stability over a long
-        /// baseline instead of state recurrence. After
-        /// [`STEADY_WINDOWS`] consecutive idle events with
+        /// Sampled once per idle event: the first cycle in which only
+        /// sources fire after one in which a stage fired, so one event
+        /// per readout period in a stall-shaped pipeline, however the
+        /// idle cycles that follow are split between leaps and steps.
+        /// With constant rates, fractional readout phases make buffer
+        /// levels *quasi*-periodic — they wander in a bounded band
+        /// rather than recur exactly — so the criterion is band
+        /// stability over a long baseline instead of state recurrence.
+        /// After [`STEADY_WINDOWS`] consecutive idle events with
         ///
         /// * no done-mark movement (no total/`done_at` clamp began),
         /// * every open stage past its pipeline-fill point,
         /// * both accumulators of every open edge strictly
-        ///   progressing, and
+        ///   progressing,
+        /// * no open edge narrower than one producer plus one consumer
+        ///   firing (such an edge has a band of levels at which its
+        ///   producer is blocked on space while its consumer starves;
+        ///   quasi-periodic phases eventually land the level in it, a
+        ///   deadlock no trend foretells), and
         /// * each edge's projected level drift over the *whole*
         ///   remaining frame — its per-window trend times the windows
         ///   left until the earliest total clamp — at most a quarter
@@ -561,14 +503,19 @@ mod arena {
                 }
             }
             let window = f64::from(STEADY_WINDOWS);
-            // Pass 1: windows left until the last total clamp, and the
+            // Pass 1: windows left until the last total clamp, the
             // progress requirement (a stalled accumulator would mean
-            // the frame never completes on its own).
+            // the frame never completes on its own), and the width
+            // requirement.
             let mut windows_left: f64 = 0.0;
             for e in 0..m {
                 let ed = &self.edges[e];
                 let dp = state.produced[e] - state.anchor_produced[e];
                 let dc = state.consumed[e] - state.anchor_consumed[e];
+                let open = !state.produced_done[e] && !state.consumed_done[e];
+                if open && ed.producer_rate + ed.consumer_rate > ed.capacity + 2.0 * ed.tolerance {
+                    return false;
+                }
                 if !state.produced_done[e] {
                     if dp <= 0.0 {
                         return false;
@@ -605,10 +552,9 @@ mod arena {
             true
         }
 
-        /// The string-free steady-state loop: steps until a verdict.
-        /// `fired_sources` is caller-provided scratch so repeated runs
-        /// (and the allocation-count test) see a fixed allocation
-        /// profile.
+        /// The string-free steady-state loop: steps until a verdict,
+        /// leaping over every run of cycles whose firing set provably
+        /// repeats.
         /// When `verdict_only` is set the run may additionally end
         /// early with `Done` once steady-state stability is proven
         /// (see [`Self::steady_pass`]); counters and accumulators are
@@ -620,7 +566,6 @@ mod arena {
             &self,
             state: &mut RunState,
             max_cycles: u64,
-            fired_sources: &mut Vec<u32>,
             verdict_only: bool,
         ) -> Verdict {
             let n = self.kinds.len();
@@ -628,14 +573,17 @@ mod arena {
             // simply never leap (they still step correctly).
             let leapable = n <= 64;
             let mut prev_mask: u64 = 0;
-            // The last firing set whose leap attempt came up empty:
-            // short periodic runs (a drain of a few cycles every
+            // The last repeated firing set whose leap attempt came up
+            // empty: short periodic runs (a drain of a few cycles every
             // readout period) would otherwise pay a doomed bound
             // computation each period. Cleared every few thousand
             // stepped cycles so a set whose spans have meanwhile grown
             // gets another look.
             let mut failed_mask: u64 = 0;
             let mut amnesty: u32 = 0;
+            // Whether a stage fired in the previous cycle: the run
+            // opens like a readout period does.
+            let mut stage_fired_before = true;
             let mut cycle: u64 = 0;
             loop {
                 if state.open_edges == 0 {
@@ -645,9 +593,8 @@ mod arena {
                     return Verdict::CycleLimit;
                 }
                 let mut any_fired = false;
-                let mut only_sources_fired = true;
+                let mut stage_fired = false;
                 let mut mask: u64 = 0;
-                fired_sources.clear();
                 for ni in 0..n {
                     if state.node_open[ni] == 0 {
                         continue;
@@ -655,11 +602,7 @@ mod arena {
                     if self.try_fire(ni, state) {
                         any_fired = true;
                         mask |= 1u64 << (ni & 63);
-                        if matches!(self.kinds[ni], HotKind::Stage { .. }) {
-                            only_sources_fired = false;
-                        } else {
-                            fired_sources.push(ni as u32);
-                        }
+                        stage_fired |= matches!(self.kinds[ni], HotKind::Stage { .. });
                     } else {
                         state.stalled[ni] += 1;
                         if matches!(self.kinds[ni], HotKind::Continuous) {
@@ -679,42 +622,38 @@ mod arena {
                     failed_mask = 0;
                     amnesty = 0;
                 }
-                // Idle fast-forward: when only sources made progress,
-                // every consumer is waiting for tokens to accumulate.
-                // Rates are constant, so the next `k−1` cycles are
-                // identical source firings — apply them in one step.
-                // Exact: token totals and firing counts match the
-                // cycle-by-cycle execution.
-                if only_sources_fired && !fired_sources.is_empty() {
-                    let k = self.idle_skip_cycles(fired_sources, state);
-                    if k > 1 {
-                        for &si in fired_sources.iter() {
-                            self.fire_source_batch(si as usize, k - 1, state);
-                        }
-                        cycle += k - 1;
-                    }
-                    // Idle events mark readout-period boundaries — the
-                    // natural sampling points for the verdict-only
-                    // steady-state early pass.
-                    if verdict_only && self.steady_pass(state, cycle, max_cycles) {
-                        return Verdict::Done { cycles: cycle };
-                    }
-                } else if LEAP && leapable && mask == prev_mask && mask != failed_mask {
-                    // Uniform leap: the same node set fired two cycles
-                    // running — if the pattern provably persists, replay
-                    // it wholesale (exact op-for-op, see `leap`).
+                // Idle events — the first source-only cycle after a
+                // stage fired — mark readout-period boundaries, the
+                // natural sampling points for the verdict-only
+                // steady-state early pass.
+                if verdict_only
+                    && !stage_fired
+                    && stage_fired_before
+                    && self.steady_pass(state, cycle, max_cycles)
+                {
+                    return Verdict::Done { cycles: cycle };
+                }
+                // Leap when only sources fired (every consumer is
+                // waiting for tokens, so more such cycles nearly always
+                // follow) or when the same node set fired two cycles
+                // running: if the pattern provably persists, replay it
+                // wholesale (exact op-for-op, see `leap`).
+                if LEAP && leapable && (!stage_fired || (mask == prev_mask && mask != failed_mask))
+                {
+                    let shortest = if stage_fired { LEAP_MIN } else { 1 };
                     let k = self.leap_cycles(mask, state).min(max_cycles - cycle);
-                    let applied = if k >= LEAP_MIN {
+                    let applied = if k >= shortest {
                         self.leap(mask, k, state)
                     } else {
                         0
                     };
                     cycle += applied;
-                    if applied == 0 {
+                    if applied == 0 && stage_fired {
                         failed_mask = mask;
                     }
                 }
                 prev_mask = mask;
+                stage_fired_before = stage_fired;
             }
         }
 
@@ -731,13 +670,17 @@ mod arena {
         fn leap_cycles(&self, mask: u64, state: &RunState) -> u64 {
             let n = self.kinds.len();
             let mut k = LEAP_MAX as f64;
-            let mut any_stage_firing = false;
             for ni in 0..n {
+                let firing = mask >> (ni & 63) & 1 == 1;
                 if state.node_open[ni] == 0 {
+                    // A node of the set that has finished never fires
+                    // again, so the set cannot repeat.
+                    if firing {
+                        return 0;
+                    }
                     continue;
                 }
-                if mask >> (ni & 63) & 1 == 1 {
-                    any_stage_firing |= matches!(self.kinds[ni], HotKind::Stage { .. });
+                if firing {
                     k = k.min(self.firing_persists(ni, mask, state));
                 } else {
                     k = k.min(self.stall_persists(ni, mask, state));
@@ -745,13 +688,6 @@ mod arena {
                 if k < 1.0 {
                     return 0;
                 }
-            }
-            // A leap must fire a stage. If every stage that fired has
-            // meanwhile finished, the repeat heuristic is stale: only
-            // sources are left firing, and stepping takes the idle
-            // fast-forward, which books no stalls, where a leap would.
-            if !any_stage_firing {
-                return 0;
             }
             k as u64
         }
@@ -837,15 +773,17 @@ mod arena {
                 let ed = &self.edges[e];
                 let need = ed.consumer_rate.min(ed.total - state.consumed[e]);
                 let level = (state.produced[e] - state.consumed[e]).max(0.0);
+                // `deficit > 0` is exactly the check `try_fire` fails
+                // (float subtraction keeps the comparison's sign).
                 let deficit = need - ed.tolerance - level;
-                let slack = leap_slack(ed);
-                if deficit > slack {
+                if deficit > 0.0 {
                     let p_in = self.push_rate(e, mask, state);
-                    if p_in > 0.0 {
-                        k = k.max((deficit - slack) / p_in);
-                    } else {
+                    if p_in == 0.0 {
+                        // Nothing flows in: the level, and the stall,
+                        // hold for the whole leap.
                         return LEAP_MAX as f64;
                     }
+                    k = k.max((deficit - leap_slack(ed)) / p_in);
                 }
             }
             if self.production_enabled(ni, state) {
@@ -857,15 +795,16 @@ mod arena {
                     let ed = &self.edges[e];
                     let amount = ed.producer_rate.min(ed.total - state.produced[e]);
                     let level = (state.produced[e] - state.consumed[e]).max(0.0);
-                    let overfull = level - (ed.capacity - amount + ed.tolerance);
-                    let slack = leap_slack(ed);
-                    if overfull > slack {
+                    // Exactly the check `try_fire` fails.
+                    if ed.capacity - level < amount - ed.tolerance {
                         let c_out = self.pull_rate(e, mask, state);
-                        if c_out > 0.0 {
-                            k = k.max((overfull - slack) / c_out);
-                        } else {
+                        if c_out == 0.0 {
+                            // Nothing drains: the stall holds for the
+                            // whole leap.
                             return LEAP_MAX as f64;
                         }
+                        let overfull = level - (ed.capacity - amount + ed.tolerance);
+                        k = k.max((overfull - leap_slack(ed)) / c_out);
                     }
                 }
             }
@@ -979,8 +918,11 @@ mod arena {
         }
     }
 
-    /// Minimum profitable leap: computing the persistence bounds costs
-    /// about two stepped cycles.
+    /// Minimum profitable leap of a repeated firing set: computing the
+    /// persistence bounds costs about two stepped cycles. A source-only
+    /// cycle leaps any span: idle runs are short (about 11 cycles per
+    /// readout period in the Ed-Gaze stall check) and would otherwise
+    /// all be stepped.
     const LEAP_MIN: u64 = 16;
 
     /// Idle events a steady-state anchor must survive before the
@@ -1334,29 +1276,15 @@ impl PipelineSim {
     /// for a cycle-by-cycle oracle run.
     fn run_steps<const LEAP: bool>(&self, max_cycles: u64) -> Result<SimReport, SimError> {
         let mut state = RunState::new(&self.arena);
-        let mut fired_sources: Vec<u32> = Vec::new();
         // The hot region: step_to_verdict neither allocates nor
         // formats — names come back into play only below.
-        let verdict =
-            self.arena
-                .step_to_verdict::<LEAP>(&mut state, max_cycles, &mut fired_sources, false);
+        let verdict = self
+            .arena
+            .step_to_verdict::<LEAP>(&mut state, max_cycles, false);
         obs_core::counter("sim.leaped", 0, state.leaped);
-        match verdict {
-            Verdict::Done { cycles } => {
-                obs_core::counter("sim.cycles", 0, cycles);
-                Ok(self.assemble_report(cycles, &state))
-            }
-            Verdict::CycleLimit => Err(SimError::CycleLimitExceeded { limit: max_cycles }),
-            Verdict::Overflow { node, cycle } => Err(self.overflow_error(node, cycle, &state)),
-            Verdict::Deadlock { cycle } => {
-                let (stage, reason) = self.diagnose_block(&state);
-                Err(SimError::Deadlock {
-                    cycle,
-                    stage,
-                    reason,
-                })
-            }
-        }
+        let cycles = self.outcome(verdict, &state, max_cycles)?;
+        obs_core::counter("sim.cycles", 0, cycles);
+        Ok(self.assemble_report(cycles, &state))
     }
 
     /// Convenience wrapper measuring digital latency `T_D` at `clock_hz`.
@@ -1368,15 +1296,15 @@ impl PipelineSim {
         Ok(self.run(max_cycles)?.digital_latency(clock_hz))
     }
 
-    /// Verdict-only run for the stall check: same stepping semantics
-    /// as [`Self::run`], plus a steady-state early pass that stops
-    /// stepping once the token flow is provably stable for the rest
+    /// Verdict-only run for the stall check: it steps and leaps
+    /// exactly as [`Self::run`] does, plus a steady-state early pass
+    /// that stops once the token flow is provably stable for the rest
     /// of the frame — orders of magnitude faster on long frames. An
     /// early pass leaves counters frame-incomplete, so this entry
-    /// point deliberately returns no report, and every *failing*
-    /// verdict falls back to the cycle-exact [`Self::run`] so stall
-    /// diagnoses (cycle numbers, buffer levels) stay byte-identical
-    /// to an exact simulation.
+    /// point deliberately returns no report. The early pass can only
+    /// end a run with `Done`, so a *failing* verdict is reached on the
+    /// very cycles [`Self::run`] steps, and its diagnosis (cycle
+    /// number, stage, buffer levels) is byte-identical to it.
     ///
     /// # Errors
     ///
@@ -1384,16 +1312,33 @@ impl PipelineSim {
     pub fn run_check(&self, max_cycles: u64) -> Result<(), SimError> {
         let _span = obs_core::span("sim.check");
         let mut state = RunState::new(&self.arena);
-        let mut fired_sources: Vec<u32> = Vec::new();
-        let verdict =
-            self.arena
-                .step_to_verdict::<true>(&mut state, max_cycles, &mut fired_sources, true);
+        let verdict = self
+            .arena
+            .step_to_verdict::<true>(&mut state, max_cycles, true);
+        self.outcome(verdict, &state, max_cycles).map(drop)
+    }
+
+    /// The frame's cycle count for a `Done` verdict, else the error the
+    /// failing verdict reports (cold path: names come back into play
+    /// only here).
+    fn outcome(
+        &self,
+        verdict: Verdict,
+        state: &RunState,
+        max_cycles: u64,
+    ) -> Result<u64, SimError> {
         match verdict {
-            Verdict::Done { .. } => Ok(()),
-            // Failures re-run exactly: they terminate early (at the
-            // overflow/deadlock), and the diagnosis must not carry
-            // fast-forward drift.
-            _ => self.run(max_cycles).map(drop),
+            Verdict::Done { cycles } => Ok(cycles),
+            Verdict::CycleLimit => Err(SimError::CycleLimitExceeded { limit: max_cycles }),
+            Verdict::Overflow { node, cycle } => Err(self.overflow_error(node, cycle, state)),
+            Verdict::Deadlock { cycle } => {
+                let (stage, reason) = self.diagnose_block(state);
+                Err(SimError::Deadlock {
+                    cycle,
+                    stage,
+                    reason,
+                })
+            }
         }
     }
 
@@ -1781,7 +1726,7 @@ mod tests {
     fn leaped_cycles(sim: &PipelineSim, max_cycles: u64) -> u64 {
         let mut state = RunState::new(&sim.arena);
         sim.arena
-            .step_to_verdict::<true>(&mut state, max_cycles, &mut Vec::new(), false);
+            .step_to_verdict::<true>(&mut state, max_cycles, false);
         state.leaped
     }
 
@@ -1903,6 +1848,46 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A random readout-paced graph: a continuous source at rate
+    /// 0.02–0.52 feeding a chain of 1–3 stages, with 2,000–42,000
+    /// tokens per frame and FIFOs either tight (barely above the larger
+    /// rate) or loose. Most cycles fire the source alone, as in a stall
+    /// check; a stage drawing less than the flow it is fed overflows
+    /// the readout. Stage rates are drawn by [`Draw::rate`], and each
+    /// out-edge carries the stage's firings times its producer rate.
+    fn readout_paced_sim(seed: u64) -> PipelineSim {
+        let mut draw = Draw(seed);
+        let mut b = PipelineSimBuilder::new();
+        let mut from = b.add_source("readout", SourceMode::Continuous);
+        let mut p = 0.02 + 0.5 * (draw.next() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut total = (2_000 + draw.below(40_001)) as f64;
+        for j in 1..=1 + draw.below(3) {
+            let stage = b.add_stage(format!("s{j}"), 1 + draw.below(16) as u32);
+            let c = draw.rate();
+            let capacity = if draw.below(2) == 0 {
+                p.max(c).ceil() as u64 + draw.below(4)
+            } else {
+                (16.0 * p.max(c)).ceil() as u64 + draw.below(1024)
+            };
+            let fifo = MemoryStructure::fifo(format!("e{j}"), capacity)
+                .with_pixels_per_word(64)
+                .with_ports(8, 8);
+            b.connect(from, stage, &fifo, p, c, total);
+            let next = draw.rate();
+            total = total / c * next;
+            (from, p) = (stage, next);
+        }
+        b.build().unwrap()
+    }
+
+    /// The graph each generator draws for `seed`, by generator name.
+    fn random_sims(seed: u64) -> [(&'static str, PipelineSim); 2] {
+        [
+            ("random", random_sim(seed)),
+            ("readout-paced", readout_paced_sim(seed)),
+        ]
+    }
+
     /// A run's outcome with every float as its bit pattern.
     fn outcome_bits(run: Result<SimReport, SimError>) -> Result<String, SimError> {
         run.map(|r| {
@@ -1923,14 +1908,26 @@ mod tests {
         })
     }
 
-    /// Leaping is invisible: a run of [`random_sim`]`(seed)` that
-    /// leaps and one that steps every cycle give bit-identical reports,
-    /// or identical errors (cycle and text).
+    /// Leaping is invisible: for each graph of [`random_sims`]`(seed)`,
+    /// a run that leaps and one that steps every cycle give
+    /// bit-identical reports, or identical errors (cycle and text).
     fn assert_leaps_are_exact(seed: u64) {
-        let sim = random_sim(seed);
-        let leaping = outcome_bits(sim.run_steps::<true>(1 << 24));
-        let stepping = outcome_bits(sim.run_steps::<false>(1 << 24));
-        assert_eq!(leaping, stepping, "seed {seed}");
+        for (generator, sim) in random_sims(seed) {
+            let leaping = outcome_bits(sim.run_steps::<true>(1 << 24));
+            let stepping = outcome_bits(sim.run_steps::<false>(1 << 24));
+            assert_eq!(leaping, stepping, "{generator} seed {seed}");
+        }
+    }
+
+    /// The verdict-only stall check (with its steady-state early pass)
+    /// reaches the verdict of a full run on each graph of
+    /// [`random_sims`]`(seed)`, with the same error text when it fails.
+    fn assert_stall_check_matches_run(seed: u64) {
+        for (generator, sim) in random_sims(seed) {
+            let check = sim.run_check(1 << 24).map_err(|e| e.to_string());
+            let run = sim.run(1 << 24).map(drop).map_err(|e| e.to_string());
+            assert_eq!(check, run, "{generator} seed {seed}");
+        }
     }
 
     proptest::proptest! {
@@ -1938,16 +1935,40 @@ mod tests {
         fn leaping_runs_match_the_cycle_by_cycle_oracle(seed in 0u64..u64::MAX) {
             assert_leaps_are_exact(seed);
         }
+
+        #[test]
+        fn stall_checks_match_full_runs(seed in 0u64..u64::MAX) {
+            assert_stall_check_matches_run(seed);
+        }
     }
 
-    /// Regression: the last firing stage finishes in the second cycle
-    /// of a repeated firing set, so only the source fires next, and
-    /// stepping takes the idle fast-forward, which books no stalls. A
-    /// leap used to replay those cycles anyway and book stalls for the
-    /// two blocked stages.
+    /// Regression: the readout-paced graph's last edge holds 32 pixels
+    /// and moves 0.0625 in, 31.99 out per firing, so a level between
+    /// 31.94 and 31.99 blocks both of its stages. The exact run reaches
+    /// that band and overflows at cycle 10502, where the drift
+    /// projection alone sees a falling trend and would claim `Done`.
+    #[test]
+    fn no_steady_claim_across_a_deadlock_band() {
+        assert_stall_check_matches_run(6_267_022_066_280_262_987);
+    }
+
+    /// The last firing stage finishes in the second cycle of a repeated
+    /// firing set, so only the source fires next while two stages stay
+    /// blocked: leaping those cycles must book the same stalls as
+    /// stepping them.
     #[test]
     fn no_leap_once_only_sources_fire() {
         assert_leaps_are_exact(15_863_747_107_958_433_976);
+    }
+
+    /// Regression: the elastic source fires its last tokens alone at
+    /// cycle 18264 while all three stages are blocked, and stepping
+    /// ends in `Deadlock { cycle: 18264, .. }`. Without the
+    /// finished-node rule, the leap taken at that source-only cycle
+    /// replays 2^24 cycles of nothing and reports a cycle limit.
+    #[test]
+    fn no_leap_once_a_firing_node_finishes() {
+        assert_leaps_are_exact(730_361_632_404_958_571);
     }
 
     /// The random graphs above do exercise the leap path.
