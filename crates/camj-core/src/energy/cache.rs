@@ -14,8 +14,9 @@
 //!   share one simulation. Memory-only; counted in [`CacheStats`]; not
 //!   byte-capped,
 //! * **energy kernel outputs** (`Vec<EnergyItem>`): the per-domain
-//!   energy bookings of [`super::EnergyKernel`]s, keyed by component
-//!   parameters + inferred access counts + the delay budget. The key is
+//!   energy bookings of the four kernels (one per
+//!   [`super::KernelKind`]), keyed by component parameters + inferred
+//!   access counts + the delay budget. The key is
 //!   two-level — `H(kind tag, key domain, invariant digest, per-point
 //!   input)`, built only in `kernel.rs` — where the invariant digest
 //!   comes from the model's kernel plan (resolved once per model) and
@@ -270,10 +271,10 @@ pub struct EstimateCache {
     hits: AtomicU64,
     misses: AtomicU64,
     bytes: AtomicU64,
-    /// Optional persistent tier; set once (at construction or via
-    /// [`Self::attach_tier`]) and never replaced, so lookups need no
-    /// lock.
-    tier: OnceLock<Arc<dyn PersistentTier>>,
+    /// Optional persistent tier, set at construction by
+    /// [`Self::shared_with_tier`] and never replaced, so lookups need
+    /// no lock.
+    tier: Option<Arc<dyn PersistentTier>>,
     /// Exposure-free frame-simulation state: memory-only, byte-capped,
     /// and outside [`CacheStats`].
     frames: Mutex<FrameStore>,
@@ -296,7 +297,7 @@ impl EstimateCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            tier: OnceLock::new(),
+            tier: None,
             frames: Mutex::new(FrameStore::new(FRAME_BASE_BUDGET_BYTES)),
         }
     }
@@ -321,20 +322,14 @@ impl EstimateCache {
     /// and every computed artifact is written through.
     #[must_use]
     pub fn shared_with_tier(tier: Arc<dyn PersistentTier>) -> Arc<Self> {
-        let cache = Self::new();
-        let _ = cache.tier.set(tier);
-        Arc::new(cache)
-    }
-
-    /// Attaches a persistent tier to a tier-less cache. The first tier
-    /// wins; returns `false` (and changes nothing) if one was already
-    /// attached.
-    pub fn attach_tier(&self, tier: Arc<dyn PersistentTier>) -> bool {
-        self.tier.set(tier).is_ok()
+        Arc::new(Self {
+            tier: Some(tier),
+            ..Self::new()
+        })
     }
 
     fn tier(&self) -> Option<&Arc<dyn PersistentTier>> {
-        self.tier.get()
+        self.tier.as_ref()
     }
 
     fn shard(&self, fp: Fingerprint) -> &Mutex<HashMap<Fingerprint, CacheEntry>> {
@@ -988,20 +983,6 @@ mod tests {
         assert!(warm.stall_settled(fp, 0.125));
         assert!(warm.stall_settled(fp, 2.0));
         assert!(!warm.stall_settled(fp, 0.01));
-    }
-
-    /// `attach_tier` is first-wins, and a tier-less cache behaves
-    /// exactly as before.
-    #[test]
-    fn attach_tier_is_first_wins() {
-        let cache = EstimateCache::new();
-        let a = Arc::new(MemTier::default());
-        let b = Arc::new(MemTier::default());
-        assert!(cache.attach_tier(Arc::clone(&a) as _));
-        assert!(!cache.attach_tier(b as _));
-        let fp = ("late-tier", 4u32).fingerprint();
-        let _ = cache.energy_or(fp, Vec::new);
-        assert_eq!(a.stores.load(Ordering::Relaxed), 1, "first tier serves");
     }
 
     #[test]

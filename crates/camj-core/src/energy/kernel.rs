@@ -1,6 +1,7 @@
 //! Per-domain energy kernels: the four independent passes of the
-//! **energy** stage, each behind the unified [`EnergyKernel`] trait,
-//! and the per-model kernel plan that resolves their inputs once.
+//! **energy** stage, each a plain function of its plan inputs and
+//! per-point input, and the per-model kernel plan that resolves those
+//! inputs once.
 //!
 //! A kernel splits into two parts. Its **FPS-invariant inputs** —
 //! analog access counts and stage attribution, digital-compute rows,
@@ -22,19 +23,18 @@
 //! kernels' full inputs are — equal key ⇒ bit-identical
 //! [`EnergyItem`] list — and the cross-point
 //! [`EstimateCache`](super::EstimateCache) can replay one's output for
-//! the other. Kernel structs themselves are only assembled (from
-//! borrowed plan inputs) when a kernel actually runs: on a cache miss,
-//! or on the uncached path.
+//! the other. A kernel function only runs (over borrowed plan inputs)
+//! on a cache miss, or on the uncached path.
 //!
 //! The four kernels mirror the paper's Eq. 1 decomposition plus
 //! communication:
 //!
 //! | kernel | paper | books | per-point input |
 //! |---|---|---|---|
-//! | [`AnalogKernel`] | Eq. 2–13 | pixel arrays, ADCs, analog PEs/memories | `T_A` |
-//! | [`DigitalComputeKernel`] | Eq. 15 | pipelined accelerators, systolic arrays | — |
-//! | [`DigitalMemoryKernel`] | Eq. 16 | SRAM/STT-RAM dynamic traffic + leakage | frame time |
-//! | [`InterfaceKernel`] | Eq. 17 | µTSV / MIPI layer crossings | — |
+//! | [`KernelKind::Analog`] | Eq. 2–13 | pixel arrays, ADCs, analog PEs/memories | `T_A` |
+//! | [`KernelKind::DigitalCompute`] | Eq. 15 | pipelined accelerators, systolic arrays | — |
+//! | [`KernelKind::DigitalMemory`] | Eq. 16 | SRAM/STT-RAM dynamic traffic + leakage | frame time |
+//! | [`KernelKind::Interface`] | Eq. 17 | µTSV / MIPI layer crossings | — |
 
 use std::collections::BTreeMap;
 
@@ -134,17 +134,6 @@ impl KeyPrefix {
     }
 }
 
-/// A resolved energy computation: a pure function of its plan inputs
-/// and per-point input. Its cache key comes from the model's kernel
-/// plan, so the key is known without assembling the kernel.
-pub trait EnergyKernel {
-    /// The energy domain this kernel books.
-    fn kind(&self) -> KernelKind;
-
-    /// Books the kernel's energy items, in deterministic order.
-    fn compute(&self) -> Vec<EnergyItem>;
-}
-
 // ---------------------------------------------------------------------
 // The per-model plan
 // ---------------------------------------------------------------------
@@ -155,8 +144,8 @@ pub trait EnergyKernel {
 /// noise chain, and each kernel's FPS-invariant inputs with their
 /// digest (for the two kernels without a per-point input, the finished
 /// key). Per point, the pipeline only solves the delay split, keys each
-/// kernel from the plan, and — on a cache miss — assembles the kernel
-/// from borrowed plan inputs.
+/// kernel from the plan, and — on a cache miss — runs the kernel over
+/// borrowed plan inputs.
 #[derive(Debug)]
 pub(crate) struct KernelPlan {
     /// Analog pipeline stage count `N_A`, including exposure.
@@ -199,8 +188,8 @@ impl KernelPlan {
         }
     }
 
-    /// Assembles `kind`'s kernel at `delay` over `model`'s hardware and
-    /// routes, and runs it.
+    /// Runs `kind`'s kernel at `delay` over `model`'s hardware and
+    /// routes: its energy items, in deterministic order.
     pub(crate) fn compute(
         &self,
         kind: KernelKind,
@@ -209,28 +198,10 @@ impl KernelPlan {
     ) -> Vec<EnergyItem> {
         let hw = model.hardware();
         match kind {
-            KernelKind::Analog => AnalogKernel {
-                hw,
-                inputs: &self.analog,
-                analog_unit_time: delay.analog_unit_time,
-            }
-            .compute(),
-            KernelKind::DigitalCompute => DigitalComputeKernel {
-                hw,
-                inputs: &self.digital_compute,
-            }
-            .compute(),
-            KernelKind::DigitalMemory => DigitalMemoryKernel {
-                hw,
-                inputs: &self.digital_memory,
-                frame_time: delay.frame_time,
-            }
-            .compute(),
-            KernelKind::Interface => InterfaceKernel {
-                routes: model.routes(),
-                inputs: &self.interface,
-            }
-            .compute(),
+            KernelKind::Analog => analog(hw, &self.analog, delay.analog_unit_time),
+            KernelKind::DigitalCompute => digital_compute(hw, &self.digital_compute),
+            KernelKind::DigitalMemory => digital_memory(hw, &self.digital_memory, delay.frame_time),
+            KernelKind::Interface => interface(model.routes(), &self.interface),
         }
     }
 }
@@ -340,40 +311,28 @@ fn booked_analog_units<'a>(
 /// Analog energy (Sec. 4.2, Eq. 2–3): access counts inferred from the
 /// mapping and routing, per-access energy from the component models
 /// under the inferred delay budget.
-pub struct AnalogKernel<'a> {
-    hw: &'a HardwareDesc,
-    inputs: &'a AnalogInputs,
-    analog_unit_time: Time,
-}
-
-impl EnergyKernel for AnalogKernel<'_> {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Analog
-    }
-
-    fn compute(&self) -> Vec<EnergyItem> {
-        booked_analog_units(self.hw, &self.inputs.accesses)
-            .map(|(unit, n)| {
-                // Eq. 3: accesses spread uniformly over the AFA's
-                // components; each component gets T_A / (n / count)
-                // per access.
-                let per_component = n / unit.array().component_count() as f64;
-                let per_access_delay = self.analog_unit_time / per_component.max(1.0);
-                let energy = unit.array().component().energy_per_access(per_access_delay) * n;
-                EnergyItem {
-                    unit: unit.name().to_owned(),
-                    stage: self.inputs.attribution.get(unit.name()).cloned(),
-                    category: match unit.category() {
-                        crate::hw::AnalogCategory::Sensing => EnergyCategory::Sensing,
-                        crate::hw::AnalogCategory::Compute => EnergyCategory::AnalogCompute,
-                        crate::hw::AnalogCategory::Memory => EnergyCategory::AnalogMemory,
-                    },
-                    layer: unit.layer(),
-                    energy,
-                }
-            })
-            .collect()
-    }
+fn analog(hw: &HardwareDesc, inputs: &AnalogInputs, analog_unit_time: Time) -> Vec<EnergyItem> {
+    booked_analog_units(hw, &inputs.accesses)
+        .map(|(unit, n)| {
+            // Eq. 3: accesses spread uniformly over the AFA's
+            // components; each component gets T_A / (n / count)
+            // per access.
+            let per_component = n / unit.array().component_count() as f64;
+            let per_access_delay = analog_unit_time / per_component.max(1.0);
+            let energy = unit.array().component().energy_per_access(per_access_delay) * n;
+            EnergyItem {
+                unit: unit.name().to_owned(),
+                stage: inputs.attribution.get(unit.name()).cloned(),
+                category: match unit.category() {
+                    crate::hw::AnalogCategory::Sensing => EnergyCategory::Sensing,
+                    crate::hw::AnalogCategory::Compute => EnergyCategory::AnalogCompute,
+                    crate::hw::AnalogCategory::Memory => EnergyCategory::AnalogMemory,
+                },
+                layer: unit.layer(),
+                energy,
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -473,39 +432,28 @@ impl ComputeInputs {
 
 /// Digital compute energy (Eq. 15): per-cycle energy × simulated cycles
 /// for pipelined units, per-MAC energy × MACs for systolic arrays.
-pub struct DigitalComputeKernel<'a> {
-    hw: &'a HardwareDesc,
-    inputs: &'a ComputeInputs,
-}
-
-impl EnergyKernel for DigitalComputeKernel<'_> {
-    fn kind(&self) -> KernelKind {
-        KernelKind::DigitalCompute
-    }
-
-    fn compute(&self) -> Vec<EnergyItem> {
-        self.inputs
-            .rows
-            .iter()
-            .map(|row| {
-                let unit = self.hw.digital(&row.unit).expect("row units are digital");
-                let energy = match (unit.kind(), &row.work) {
-                    (DigitalUnitKind::Pipelined(cu), Work::Cycles(cycles)) => {
-                        cu.energy_per_cycle() * *cycles as f64
-                    }
-                    (DigitalUnitKind::Systolic(sa), Work::Macs(macs)) => sa.energy_for_macs(*macs),
-                    _ => unreachable!("work kind follows unit kind by construction"),
-                };
-                EnergyItem {
-                    unit: row.unit.clone(),
-                    stage: Some(row.stage.clone()),
-                    category: EnergyCategory::DigitalCompute,
-                    layer: unit.layer(),
-                    energy,
+fn digital_compute(hw: &HardwareDesc, inputs: &ComputeInputs) -> Vec<EnergyItem> {
+    inputs
+        .rows
+        .iter()
+        .map(|row| {
+            let unit = hw.digital(&row.unit).expect("row units are digital");
+            let energy = match (unit.kind(), &row.work) {
+                (DigitalUnitKind::Pipelined(cu), Work::Cycles(cycles)) => {
+                    cu.energy_per_cycle() * *cycles as f64
                 }
-            })
-            .collect()
-    }
+                (DigitalUnitKind::Systolic(sa), Work::Macs(macs)) => sa.energy_for_macs(*macs),
+                _ => unreachable!("work kind follows unit kind by construction"),
+            };
+            EnergyItem {
+                unit: row.unit.clone(),
+                stage: Some(row.stage.clone()),
+                category: EnergyCategory::DigitalCompute,
+                layer: unit.layer(),
+                energy,
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -581,43 +529,30 @@ impl MemoryInputs {
 /// Digital memory energy (Eq. 16): dynamic traffic from the simulation
 /// plus DNN weight loading, and leakage over the powered fraction of
 /// the frame.
-pub struct DigitalMemoryKernel<'a> {
-    hw: &'a HardwareDesc,
-    inputs: &'a MemoryInputs,
-    frame_time: Time,
-}
-
-impl EnergyKernel for DigitalMemoryKernel<'_> {
-    fn kind(&self) -> KernelKind {
-        KernelKind::DigitalMemory
-    }
-
-    fn compute(&self) -> Vec<EnergyItem> {
-        let mut items = Vec::new();
-        for mem in self.hw.memories() {
-            let (reads, writes) = self
-                .inputs
-                .traffic
-                .get(mem.name())
-                .copied()
-                .unwrap_or((0.0, 0.0));
-            let s = mem.structure();
-            let dynamic = s.dynamic_energy(reads, writes);
-            let leakage = s.leakage() * self.frame_time * s.active_fraction();
-            let energy = dynamic + leakage;
-            if energy.joules() == 0.0 {
-                continue;
-            }
-            items.push(EnergyItem {
-                unit: mem.name().to_owned(),
-                stage: self.inputs.attribution.get(mem.name()).cloned().flatten(),
-                category: EnergyCategory::DigitalMemory,
-                layer: mem.layer(),
-                energy,
-            });
+fn digital_memory(hw: &HardwareDesc, inputs: &MemoryInputs, frame_time: Time) -> Vec<EnergyItem> {
+    let mut items = Vec::new();
+    for mem in hw.memories() {
+        let (reads, writes) = inputs
+            .traffic
+            .get(mem.name())
+            .copied()
+            .unwrap_or((0.0, 0.0));
+        let s = mem.structure();
+        let dynamic = s.dynamic_energy(reads, writes);
+        let leakage = s.leakage() * frame_time * s.active_fraction();
+        let energy = dynamic + leakage;
+        if energy.joules() == 0.0 {
+            continue;
         }
-        items
+        items.push(EnergyItem {
+            unit: mem.name().to_owned(),
+            stage: inputs.attribution.get(mem.name()).cloned().flatten(),
+            category: EnergyCategory::DigitalMemory,
+            layer: mem.layer(),
+            energy,
+        });
     }
+    items
 }
 
 // ---------------------------------------------------------------------
@@ -676,46 +611,35 @@ impl InterfaceInputs {
 /// Communication energy (Eq. 17): bytes crossing layer boundaries pay
 /// the boundary's interface energy; results exiting the package pay
 /// MIPI.
-pub struct InterfaceKernel<'a> {
-    routes: &'a [Route],
-    inputs: &'a InterfaceInputs,
-}
-
-impl EnergyKernel for InterfaceKernel<'_> {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Interface
-    }
-
-    fn compute(&self) -> Vec<EnergyItem> {
-        use camj_tech::interface::Interface;
-        let mut items = Vec::new();
-        for (route, hops) in self.routes.iter().zip(&self.inputs.hops) {
-            for pair in hops.windows(2) {
-                let (from, from_layer) = &pair[0];
-                let (_, to_layer) = &pair[1];
-                let Some(iface) = from_layer.interface_to(*to_layer) else {
-                    continue;
-                };
-                let category = match iface {
-                    Interface::MicroTsv => EnergyCategory::MicroTsv,
-                    // Custom interfaces are booked as package-exit links.
-                    Interface::MipiCsi2 | Interface::Custom { .. } => EnergyCategory::Mipi,
-                };
-                items.push(EnergyItem {
-                    unit: format!("{}:{}", category.label(), from),
-                    stage: Some(route.from_stage.clone()),
-                    category,
-                    layer: *from_layer,
-                    energy: iface.transfer_energy(route.bytes),
-                });
-            }
+fn interface(routes: &[Route], inputs: &InterfaceInputs) -> Vec<EnergyItem> {
+    use camj_tech::interface::Interface;
+    let mut items = Vec::new();
+    for (route, hops) in routes.iter().zip(&inputs.hops) {
+        for pair in hops.windows(2) {
+            let (from, from_layer) = &pair[0];
+            let (_, to_layer) = &pair[1];
+            let Some(iface) = from_layer.interface_to(*to_layer) else {
+                continue;
+            };
+            let category = match iface {
+                Interface::MicroTsv => EnergyCategory::MicroTsv,
+                // Custom interfaces are booked as package-exit links.
+                Interface::MipiCsi2 | Interface::Custom { .. } => EnergyCategory::Mipi,
+            };
+            items.push(EnergyItem {
+                unit: format!("{}:{}", category.label(), from),
+                stage: Some(route.from_stage.clone()),
+                category,
+                layer: *from_layer,
+                energy: iface.transfer_energy(route.bytes),
+            });
         }
-        items
     }
+    items
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::collections::HashMap;
 
     use camj_digital::memory::MemoryKind;
@@ -724,133 +648,98 @@ mod tests {
     use camj_workloads::{edgaze, quickstart, rhythmic};
 
     use super::*;
-    use crate::hw::HardwareDesc;
-    use crate::mapping::Mapping;
-    use crate::sw::AlgorithmGraph;
 
     /// The single-pass kernel key the two-level scheme replaced: the
-    /// kind tag, then every captured input in one stream, the per-point
-    /// input first. Kept as the oracle the two-level keys must agree
-    /// with.
-    trait SinglePass: EnergyKernel {
-        fn feed(&self, h: &mut FpHasher);
-
-        fn single_pass_key(&self) -> Fingerprint {
-            let mut h = FpHasher::new();
-            h.write_tag(self.kind().tag());
-            self.feed(&mut h);
-            h.finish()
-        }
-    }
-
-    impl SinglePass for AnalogKernel<'_> {
-        fn feed(&self, h: &mut FpHasher) {
-            self.analog_unit_time.feed(h);
-            for unit in self.hw.analog_units() {
-                let Some(&n) = self.inputs.accesses.get(unit.name()) else {
-                    continue;
-                };
-                if n <= 0.0 {
-                    continue;
-                }
-                unit.feed(h);
-                h.write_f64(n);
-                self.inputs.attribution.get(unit.name()).feed(h);
-            }
-        }
-    }
-
-    impl SinglePass for DigitalComputeKernel<'_> {
-        fn feed(&self, h: &mut FpHasher) {
-            h.write_usize(self.inputs.rows.len());
-            for row in &self.inputs.rows {
-                h.write_str(&row.stage);
-                let unit = self.hw.digital(&row.unit).expect("row units are digital");
-                unit.feed(h);
-                row.work.feed(h);
-            }
-        }
-    }
-
-    impl SinglePass for DigitalMemoryKernel<'_> {
-        fn feed(&self, h: &mut FpHasher) {
-            self.frame_time.feed(h);
-            for mem in self.hw.memories() {
-                let (reads, writes) = self
-                    .inputs
-                    .traffic
-                    .get(mem.name())
-                    .copied()
-                    .unwrap_or((0.0, 0.0));
-                mem.feed(h);
-                h.write_f64(reads);
-                h.write_f64(writes);
-                self.inputs.attribution.get(mem.name()).feed(h);
-            }
-        }
-    }
-
-    impl SinglePass for InterfaceKernel<'_> {
-        fn feed(&self, h: &mut FpHasher) {
-            h.write_usize(self.routes.len());
-            for (route, hops) in self.routes.iter().zip(&self.inputs.hops) {
-                h.write_str(&route.from_stage);
-                h.write_u64(route.bytes);
-                h.write_usize(hops.len());
-                for (unit, layer) in hops {
-                    h.write_str(unit);
-                    layer.feed(h);
-                }
-            }
-        }
-    }
-
-    /// The four kernels of `plan` at `delay`, assembled exactly as
-    /// [`KernelPlan::compute`] assembles them.
-    fn kernels<'a>(
-        plan: &'a KernelPlan,
-        model: &'a ValidatedModel,
+    /// kind tag, then every input `kind`'s kernel reads in one stream,
+    /// the per-point input first. Kept as the oracle the two-level keys
+    /// must agree with.
+    fn single_pass_key(
+        kind: KernelKind,
+        plan: &KernelPlan,
+        model: &ValidatedModel,
         delay: &DelayEstimate,
-    ) -> [Box<dyn SinglePass + 'a>; ENERGY_KERNEL_COUNT] {
+    ) -> Fingerprint {
         let hw = model.hardware();
-        [
-            Box::new(AnalogKernel {
-                hw,
-                inputs: &plan.analog,
-                analog_unit_time: delay.analog_unit_time,
-            }),
-            Box::new(DigitalComputeKernel {
-                hw,
-                inputs: &plan.digital_compute,
-            }),
-            Box::new(DigitalMemoryKernel {
-                hw,
-                inputs: &plan.digital_memory,
-                frame_time: delay.frame_time,
-            }),
-            Box::new(InterfaceKernel {
-                routes: model.routes(),
-                inputs: &plan.interface,
-            }),
-        ]
+        let mut h = FpHasher::new();
+        h.write_tag(kind.tag());
+        match kind {
+            KernelKind::Analog => {
+                delay.analog_unit_time.feed(&mut h);
+                for unit in hw.analog_units() {
+                    let Some(&n) = plan.analog.accesses.get(unit.name()) else {
+                        continue;
+                    };
+                    if n <= 0.0 {
+                        continue;
+                    }
+                    unit.feed(&mut h);
+                    h.write_f64(n);
+                    plan.analog.attribution.get(unit.name()).feed(&mut h);
+                }
+            }
+            KernelKind::DigitalCompute => {
+                h.write_usize(plan.digital_compute.rows.len());
+                for row in &plan.digital_compute.rows {
+                    h.write_str(&row.stage);
+                    let unit = hw.digital(&row.unit).expect("row units are digital");
+                    unit.feed(&mut h);
+                    row.work.feed(&mut h);
+                }
+            }
+            KernelKind::DigitalMemory => {
+                delay.frame_time.feed(&mut h);
+                for mem in hw.memories() {
+                    let (reads, writes) = plan
+                        .digital_memory
+                        .traffic
+                        .get(mem.name())
+                        .copied()
+                        .unwrap_or((0.0, 0.0));
+                    mem.feed(&mut h);
+                    h.write_f64(reads);
+                    h.write_f64(writes);
+                    plan.digital_memory.attribution.get(mem.name()).feed(&mut h);
+                }
+            }
+            KernelKind::Interface => {
+                let routes = model.routes();
+                h.write_usize(routes.len());
+                for (route, hops) in routes.iter().zip(&plan.interface.hops) {
+                    h.write_str(&route.from_stage);
+                    h.write_u64(route.bytes);
+                    h.write_usize(hops.len());
+                    for (unit, layer) in hops {
+                        h.write_str(unit);
+                        layer.feed(&mut h);
+                    }
+                }
+            }
+        }
+        h.finish()
     }
 
     /// camj-workloads links its own copy of this crate, so its models
     /// cross into this crate's types through the descriptions' serde
     /// encoding (floats round-trip exactly). A macro, because the
-    /// other copy's `CamJ` has no nameable path here.
+    /// other copy's `CamJ` has no nameable path here; the pipeline's
+    /// tests use it too.
     macro_rules! cross {
         ($model:expr) => {{
+            use $crate::energy::kernel::tests::recode;
             let model = $model;
-            let algo: AlgorithmGraph = recode(model.algorithm());
-            let hw: HardwareDesc = recode(model.hardware());
-            let mapping: Mapping = recode(model.mapping());
-            ValidatedModel::new(algo, hw, mapping, model.fps()).expect("workload models validate")
+            $crate::energy::ValidatedModel::new(
+                recode(model.algorithm()),
+                recode(model.hardware()),
+                recode(model.mapping()),
+                model.fps(),
+            )
+            .expect("workload models validate")
         }};
     }
+    pub(crate) use cross;
 
     /// Re-encodes a value through JSON into another type.
-    fn recode<T: serde::Serialize, U: for<'de> serde::Deserialize<'de>>(value: &T) -> U {
+    pub(crate) fn recode<T: serde::Serialize, U: for<'de> serde::Deserialize<'de>>(value: &T) -> U {
         serde_json::from_str(&serde_json::to_string(value).expect("serialises")).expect("decodes")
     }
 
@@ -929,21 +818,14 @@ mod tests {
                 let Ok(delay) = model.estimate_delay_at(fps) else {
                     continue;
                 };
-                for (kind, kernel) in KernelKind::ALL
-                    .into_iter()
-                    .zip(kernels(plan, &model, &delay))
-                {
+                for kind in KernelKind::ALL {
                     invocations += 1;
                     let key = plan.key(kind, &delay);
-                    assert_eq!(kernel.kind(), kind);
-                    let oracle = kernel.single_pass_key();
+                    let oracle = single_pass_key(kind, plan, &model, &delay);
                     assert_eq!(*oracle_of.entry(key).or_insert(oracle), oracle);
                     assert_eq!(*key_of.entry(oracle).or_insert(key), key);
-                    let items = serde_json::to_string(&kernel.compute()).expect("items serialise");
-                    assert_eq!(
-                        serde_json::to_string(&plan.compute(kind, &model, &delay)).unwrap(),
-                        items
-                    );
+                    let items = serde_json::to_string(&plan.compute(kind, &model, &delay))
+                        .expect("items serialise");
                     assert_eq!(*items_of.entry(key).or_insert_with(|| items.clone()), items);
                 }
             }

@@ -12,9 +12,6 @@ mod pipeline;
 pub use breakdown::{EnergyBreakdown, EnergyItem};
 pub use cache::{CacheStats, EstimateCache, PersistentTier, FRAME_BASE_BUDGET_BYTES, SHARD_COUNT};
 pub use category::EnergyCategory;
-pub use kernel::{
-    AnalogKernel, DigitalComputeKernel, DigitalMemoryKernel, EnergyKernel, InterfaceKernel,
-    KernelKind,
-};
+pub use kernel::KernelKind;
 pub use model::{CamJ, EstimateReport};
 pub use pipeline::{ElasticSim, GateContext, GatedEstimate, ValidatedModel, ENERGY_KERNEL_COUNT};

@@ -22,22 +22,27 @@
 //!   for one simulation, not one per point.
 //! * **estimate_delay** ([`ValidatedModel::estimate_delay`]) solves the
 //!   frame budget `N_A·T_A + T_D = 1/FPS` (Sec. 4.1).
-//! * **energy** ([`ValidatedModel::energy_breakdown`]) books the three
-//!   energy domains of Eq. 1 plus communication through the four
-//!   [`EnergyKernel`](super::EnergyKernel)s. Everything about them that
-//!   no frame rate can change — access counts, simulated traffic,
-//!   compute rows, hop lists, and a digest of each — is resolved once
-//!   per model into a shared kernel plan (together with `N_A`, the
-//!   stall-verdict key, and the noise chain); per point, each kernel is
-//!   keyed by its plan digest plus its one per-point input and replayed
-//!   from the shared cache on a hit.
+//! * **energy** books the three energy domains of Eq. 1 plus
+//!   communication through the four energy kernels, one function per
+//!   [`KernelKind`](super::KernelKind). Everything about them that no
+//!   frame rate can change — access counts, simulated traffic, compute
+//!   rows, hop lists, and a digest of each — is resolved once per model
+//!   into a shared kernel plan (together with `N_A`, the stall-verdict
+//!   key, and the noise chain); per point, each kernel is keyed by its
+//!   plan digest plus its one per-point input and replayed from the
+//!   shared cache on a hit.
 //!
-//! [`ValidatedModel::estimate`] chains the stages into the classic
-//! one-call flow (including the constant-rate-readout stall check);
-//! [`ValidatedModel::estimate_at_fps`] re-runs only the FPS-dependent
-//! tail. The `camj-explore` crate drives either entry point across
-//! design grids in parallel, threading one shared cache through every
-//! point via [`ValidatedModel::with_cache`].
+//! The FPS-dependent stages form one tail — delay solve, stall check,
+//! the four kernels, report — written once and run by both entry
+//! points: [`ValidatedModel::estimate_at_fps_gated`] consults a budget
+//! gate between its steps, and [`ValidatedModel::estimate_at_fps`] runs
+//! it under a gate that admits everything. Every report carries the
+//! analytic noise budget at its delay split in
+//! [`EstimateReport::noise`]. [`ValidatedModel::estimate`] is the
+//! one-call flow at the model's own frame rate. The `camj-explore`
+//! crate drives these entry points across design grids in parallel,
+//! threading one shared cache through every point via
+//! [`ValidatedModel::with_cache`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -143,6 +148,16 @@ impl GatedEstimate {
             GatedEstimate::Pruned { partial, .. } => partial.total(),
         }
     }
+}
+
+/// A pass the gate stopped, as the FPS tail hands it back: the fields
+/// of [`GatedEstimate::Pruned`]. The tail returns its report unboxed;
+/// only the gated entry point boxes one.
+#[derive(Debug)]
+struct Pruned {
+    delay: DelayEstimate,
+    partial: EnergyBreakdown,
+    kernels_done: usize,
 }
 
 /// Domain tag of the elastic-simulation fingerprint; bump when the
@@ -351,12 +366,6 @@ impl ValidatedModel {
     pub fn with_cache(mut self, cache: Arc<EstimateCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached cross-point cache, if any.
-    #[must_use]
-    pub fn cache(&self) -> Option<&Arc<EstimateCache>> {
-        self.cache.as_ref()
     }
 
     /// A copy of this model targeting a different frame rate, sharing
@@ -606,72 +615,6 @@ impl ValidatedModel {
         }
     }
 
-    /// The **energy** stage: books all component energies (Eq. 1's
-    /// three domains plus communication) for a solved delay split, by
-    /// running the four energy kernels over this model's simulation
-    /// (replaying cached outputs when a cross-point cache is attached).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CamjError::Sim`] when the simulation fails.
-    pub fn energy_breakdown(&self, delay: &DelayEstimate) -> Result<EnergyBreakdown, CamjError> {
-        let (_, plan) = self.kernel_plan()?;
-        Ok(self.complete_energy(plan, delay))
-    }
-
-    fn complete_energy(&self, plan: &KernelPlan, delay: &DelayEstimate) -> EnergyBreakdown {
-        self.run_energy_kernels(plan, delay, &mut |_| true)
-            .unwrap_or_else(|_| unreachable!("an always-admitting gate never prunes"))
-    }
-
-    /// Runs the four energy kernels in order, consulting `gate` after
-    /// each one. Both the gated and the ungated estimate paths go
-    /// through here, so an admitted pass is byte-identical to a plain
-    /// [`Self::energy_breakdown`] — same kernels, same order, same
-    /// cache keys. A kernel is keyed from the plan and only assembled
-    /// when it has to run: on a cache miss, or without a cache.
-    ///
-    /// Returns the completed breakdown, or `Err((partial, done))` when
-    /// the gate stopped after `done` kernels.
-    fn run_energy_kernels(
-        &self,
-        plan: &KernelPlan,
-        delay: &DelayEstimate,
-        gate: &mut dyn FnMut(&GateContext<'_>) -> bool,
-    ) -> Result<EnergyBreakdown, (EnergyBreakdown, usize)> {
-        let mut breakdown = EnergyBreakdown::new();
-        for (ran, kind) in KernelKind::ALL.into_iter().enumerate() {
-            // The span/invocation counter sits inside the compute path,
-            // so cached replays cost nothing and the invocation count
-            // is one per unique kernel key.
-            let instrumented = || {
-                let _span = obs_core::span(kernel_span_name(kind));
-                obs_core::counter("kernel.invocations", ran as u64, 1);
-                plan.compute(kind, self, delay)
-            };
-            match &self.cache {
-                Some(cache) => {
-                    breakdown.push_shared(cache.energy_or(plan.key(kind, delay), instrumented));
-                }
-                None => {
-                    for item in instrumented() {
-                        breakdown.push(item);
-                    }
-                }
-            }
-            let kernels_done = ran + 1;
-            let admitted = gate(&GateContext {
-                delay,
-                partial: &breakdown,
-                kernels_done,
-            });
-            if !admitted {
-                return Err((breakdown, kernels_done));
-            }
-        }
-        Ok(breakdown)
-    }
-
     /// Runs the full staged flow at this model's frame rate.
     ///
     /// # Errors
@@ -691,14 +634,8 @@ impl ValidatedModel {
     ///
     /// See [`super::CamJ::estimate`].
     pub fn estimate_at_fps(&self, fps: f64) -> Result<EstimateReport, CamjError> {
-        let (elastic, plan) = self.kernel_plan()?;
-        let delay = {
-            let _span = obs_core::span("pipeline.delay");
-            DelayEstimate::solve(fps, elastic.digital_latency, plan.analog_stage_count)?
-        };
-        self.check_stall_in(plan, &delay)?;
-        let breakdown = self.complete_energy(plan, &delay);
-        Ok(self.assemble_report(plan, breakdown, delay, elastic))
+        self.fps_tail(fps, |_| true)?
+            .map_err(|_| unreachable!("an admit-all gate never prunes"))
     }
 
     /// The budget-gated variant of [`Self::estimate_at_fps`]: runs the
@@ -712,11 +649,12 @@ impl ValidatedModel {
     /// (`camj-explore`'s Pareto path): a point whose partial energy
     /// already blows a power-density or total-energy budget — or whose
     /// digital latency blows a delay budget — never pays for the
-    /// kernels it no longer needs. Admitted passes stay cache-compatible
-    /// and byte-identical to the ungated path: kernels run in the same
-    /// order with the same fingerprints, so surviving points replay and
-    /// populate a shared [`EstimateCache`] exactly as a plain sweep
-    /// would.
+    /// kernels it no longer needs. Both entry points run one tail (the
+    /// ungated one under an admit-all gate), so admitted passes stay
+    /// cache-compatible and byte-identical to the ungated path: kernels
+    /// run in the same order with the same fingerprints, and surviving
+    /// points replay and populate a shared [`EstimateCache`] exactly as
+    /// a plain sweep would.
     ///
     /// # Errors
     ///
@@ -724,43 +662,84 @@ impl ValidatedModel {
     /// not an error but a [`GatedEstimate::Pruned`] outcome. Note that
     /// a point pruned at `kernels_done == 0` skips the stall check, so
     /// a design that would *also* stall reports as pruned, not stalled.
-    pub fn estimate_at_fps_gated<G>(
-        &self,
-        fps: f64,
-        mut gate: G,
-    ) -> Result<GatedEstimate, CamjError>
+    pub fn estimate_at_fps_gated<G>(&self, fps: f64, gate: G) -> Result<GatedEstimate, CamjError>
     where
         G: FnMut(&GateContext<'_>) -> bool,
     {
+        Ok(match self.fps_tail(fps, gate)? {
+            Ok(report) => GatedEstimate::Complete(Box::new(report)),
+            Err(Pruned {
+                delay,
+                partial,
+                kernels_done,
+            }) => GatedEstimate::Pruned {
+                delay,
+                partial,
+                kernels_done,
+            },
+        })
+    }
+
+    /// The FPS tail both estimate entry points run: delay solve →
+    /// `gate` at `kernels_done == 0` → stall check → the four energy
+    /// kernels in order, `gate` after each → report. A kernel is keyed
+    /// from the plan and only runs when it has to: on a cache miss, or
+    /// without a cache. Returns the report, or the state at the first
+    /// `false` of `gate`.
+    fn fps_tail(
+        &self,
+        fps: f64,
+        mut gate: impl FnMut(&GateContext<'_>) -> bool,
+    ) -> Result<Result<EstimateReport, Pruned>, CamjError> {
         let (elastic, plan) = self.kernel_plan()?;
         let delay = {
             let _span = obs_core::span("pipeline.delay");
             DelayEstimate::solve(fps, elastic.digital_latency, plan.analog_stage_count)?
         };
-        let empty = EnergyBreakdown::new();
-        let admitted = gate(&GateContext {
-            delay: &delay,
-            partial: &empty,
-            kernels_done: 0,
-        });
-        if !admitted {
-            return Ok(GatedEstimate::Pruned {
-                delay,
-                partial: empty,
-                kernels_done: 0,
-            });
-        }
-        self.check_stall_in(plan, &delay)?;
-        match self.run_energy_kernels(plan, &delay, &mut gate) {
-            Ok(breakdown) => Ok(GatedEstimate::Complete(Box::new(
-                self.assemble_report(plan, breakdown, delay, elastic),
-            ))),
-            Err((partial, kernels_done)) => Ok(GatedEstimate::Pruned {
-                delay,
+        let mut breakdown = EnergyBreakdown::new();
+        let mut stops = |partial: &EnergyBreakdown, kernels_done| {
+            !gate(&GateContext {
+                delay: &delay,
                 partial,
                 kernels_done,
-            }),
+            })
+        };
+        if stops(&breakdown, 0) {
+            return Ok(Err(Pruned {
+                delay,
+                partial: breakdown,
+                kernels_done: 0,
+            }));
         }
+        self.check_stall_in(plan, &delay)?;
+        for (ran, kind) in KernelKind::ALL.into_iter().enumerate() {
+            // The span/invocation counter sits inside the compute path,
+            // so cached replays cost nothing and the invocation count
+            // is one per unique kernel key.
+            let instrumented = || {
+                let _span = obs_core::span(kernel_span_name(kind));
+                obs_core::counter("kernel.invocations", ran as u64, 1);
+                plan.compute(kind, self, &delay)
+            };
+            match &self.cache {
+                Some(cache) => {
+                    breakdown.push_shared(cache.energy_or(plan.key(kind, &delay), instrumented));
+                }
+                None => {
+                    for item in instrumented() {
+                        breakdown.push(item);
+                    }
+                }
+            }
+            if stops(&breakdown, ran + 1) {
+                return Ok(Err(Pruned {
+                    delay,
+                    partial: breakdown,
+                    kernels_done: ran + 1,
+                }));
+            }
+        }
+        Ok(Ok(self.assemble_report(plan, breakdown, delay, elastic)))
     }
 
     /// Bundles a completed breakdown into the full [`EstimateReport`]
@@ -1022,26 +1001,6 @@ impl ValidatedModel {
                 }
             })
             .collect()
-    }
-
-    /// The analytic noise budget at an explicit frame rate, quoted at
-    /// the default mid-scale signal level. This is the quantity the
-    /// explorer's `snr` objective minimises (as output noise RMS), and
-    /// what [`EstimateReport::noise`](super::EstimateReport) carries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation/feasibility failures from the delay solve
-    /// (the exposure time the dark-current sources integrate over
-    /// comes from the frame budget).
-    pub fn noise_report_at_fps(&self, fps: f64) -> Result<Option<NoiseReport>, CamjError> {
-        let delay = self.estimate_delay_at(fps)?;
-        let (_, plan) = self.kernel_plan()?;
-        Ok(noise_report(
-            &plan.noise_chain,
-            &delay,
-            DEFAULT_SIGNAL_FRACTION,
-        ))
     }
 
     /// Simulates one frame functionally: renders `stimulus` at the
@@ -2728,6 +2687,70 @@ mod tests {
             two.simulate_frames(&seeds, &stimulus(0.5)).unwrap(),
             expected
         );
+    }
+
+    /// Every gate stop keeps a prefix of the complete pass. On the
+    /// quickstart chip and Ed-Gaze, with and without a cache, a gate
+    /// that stops once `kernels_done == k` prunes at `k` with exactly
+    /// the first `k` kernels' items, in kernel order, and a total no
+    /// larger than the complete one; an always-true gate completes with
+    /// the ungated report.
+    #[test]
+    fn gate_stops_keep_a_prefix_of_the_complete_pass() {
+        use camj_tech::node::ProcessNode;
+        use camj_workloads::configs::SensorVariant;
+        use camj_workloads::{edgaze, quickstart};
+
+        use crate::energy::kernel::tests::cross;
+        use crate::energy::EnergyItem;
+
+        let designs = [
+            cross!(quickstart::model(30.0).expect("quickstart builds")),
+            cross!(edgaze::model(SensorVariant::TwoDIn, ProcessNode::N65).expect("Ed-Gaze builds")),
+        ];
+        for design in designs {
+            for cache in [None, Some(EstimateCache::shared())] {
+                let model = match &cache {
+                    Some(cache) => design.clone().with_cache(Arc::clone(cache)),
+                    None => design.clone(),
+                };
+                let fps = model.fps();
+                let complete = model
+                    .estimate_at_fps(fps)
+                    .expect("workload models estimate");
+                let items: Vec<EnergyItem> = complete.breakdown.items().cloned().collect();
+                let (_, plan) = model.kernel_plan().unwrap();
+                let mut booked = 0;
+                for k in 0..=ENERGY_KERNEL_COUNT {
+                    if k > 0 {
+                        booked += plan
+                            .compute(KernelKind::ALL[k - 1], &model, &complete.delay)
+                            .len();
+                    }
+                    let outcome = model
+                        .estimate_at_fps_gated(fps, |ctx| ctx.kernels_done < k)
+                        .unwrap();
+                    assert!(outcome.partial_total() <= complete.total(), "k = {k}");
+                    let GatedEstimate::Pruned {
+                        delay,
+                        partial,
+                        kernels_done,
+                    } = outcome
+                    else {
+                        panic!("a gate stopping at {k} must prune");
+                    };
+                    assert_eq!(kernels_done, k);
+                    assert_eq!(delay, complete.delay);
+                    let partial: Vec<EnergyItem> = partial.items().cloned().collect();
+                    assert_eq!(partial, items[..booked], "k = {k}");
+                }
+                assert_eq!(booked, items.len());
+                assert_eq!(
+                    model.estimate_at_fps_gated(fps, |_| true).unwrap(),
+                    GatedEstimate::Complete(Box::new(complete))
+                );
+            }
+        }
     }
 
     /// Ed-Gaze's DAG — a 2×2 binning stencil, a one-operand element-wise

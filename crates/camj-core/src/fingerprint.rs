@@ -3,8 +3,8 @@
 //!
 //! These compose the substrate implementations from `camj-analog` /
 //! `camj-digital` / `camj-tech` into full-descriptor fingerprints, which
-//! the energy kernels ([`crate::energy::EnergyKernel`]) and the elastic
-//! simulation cache key their artifacts by.
+//! the energy kernels (one per [`crate::energy::KernelKind`]) and the
+//! elastic simulation cache key their artifacts by.
 
 use camj_tech::fingerprint::{Fingerprintable, FpHasher};
 

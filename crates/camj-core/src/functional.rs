@@ -11,11 +11,10 @@
 //! Two complementary views exist:
 //!
 //! * the **analytic** [`NoiseReport`]
-//!   ([`ValidatedModel::noise_report_at_fps`]) accumulates noise
-//!   variance stage by stage for a mean signal level — closed-form, no
-//!   RNG, cheap enough to attach to every
-//!   [`EstimateReport`](crate::energy::EstimateReport) and to drive
-//!   the explorer's `snr` objective deterministically, and
+//!   ([`EstimateReport::noise`]) accumulates noise variance stage by
+//!   stage for a mean signal level — closed-form, no RNG, cheap enough
+//!   to attach to every [`EstimateReport`] and to drive the explorer's
+//!   `snr` objective deterministically, and
 //! * the **sampled** [`FrameSimReport`]
 //!   ([`ValidatedModel::simulate_frame`]) renders a [`Stimulus`] into
 //!   a full-resolution frame and pushes it through the chain with a
@@ -28,7 +27,8 @@
 //! byte-identical across runs, across serial/parallel sweeps, and
 //! across `RAYON_NUM_THREADS` settings.
 //!
-//! [`ValidatedModel::noise_report_at_fps`]: crate::energy::ValidatedModel::noise_report_at_fps
+//! [`EstimateReport`]: crate::energy::EstimateReport
+//! [`EstimateReport::noise`]: crate::energy::EstimateReport::noise
 //! [`ValidatedModel::simulate_frame`]: crate::energy::ValidatedModel::simulate_frame
 
 use std::fmt;

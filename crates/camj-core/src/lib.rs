@@ -109,9 +109,8 @@ pub mod sw;
 
 pub use delay::DelayEstimate;
 pub use energy::{
-    CacheStats, CamJ, ElasticSim, EnergyBreakdown, EnergyCategory, EnergyItem, EnergyKernel,
-    EstimateCache, EstimateReport, GateContext, GatedEstimate, KernelKind, ValidatedModel,
-    ENERGY_KERNEL_COUNT,
+    CacheStats, CamJ, ElasticSim, EnergyBreakdown, EnergyCategory, EnergyItem, EstimateCache,
+    EstimateReport, GateContext, GatedEstimate, KernelKind, ValidatedModel, ENERGY_KERNEL_COUNT,
 };
 pub use error::CamjError;
 pub use functional::{

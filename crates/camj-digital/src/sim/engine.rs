@@ -55,8 +55,6 @@
 //! cycles are skipped, and proptests over random graphs hold every
 //! leap to a run that steps every cycle.
 
-use camj_tech::units::Time;
-
 use crate::memory::MemoryStructure;
 
 use super::error::SimError;
@@ -1285,15 +1283,6 @@ impl PipelineSim {
         let cycles = self.outcome(verdict, &state, max_cycles)?;
         obs_core::counter("sim.cycles", 0, cycles);
         Ok(self.assemble_report(cycles, &state))
-    }
-
-    /// Convenience wrapper measuring digital latency `T_D` at `clock_hz`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from [`Self::run`].
-    pub fn digital_latency(&self, clock_hz: f64, max_cycles: u64) -> Result<Time, SimError> {
-        Ok(self.run(max_cycles)?.digital_latency(clock_hz))
     }
 
     /// Verdict-only run for the stall check: it steps and leaps
