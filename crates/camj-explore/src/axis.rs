@@ -4,6 +4,7 @@ use std::fmt;
 
 use camj_digital::memory::MemoryKind;
 use camj_tech::node::ProcessNode;
+use serde_json::Number;
 
 /// One value along a sweep axis.
 ///
@@ -80,14 +81,23 @@ impl AxisValue {
 /// coordinate reads identically wherever it surfaces.
 #[must_use]
 pub fn canonical_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_canonical_f64(&mut out, v).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes [`canonical_f64`]'s text into `out` without an intermediate
+/// `String`: finite values print through [`Number::from_f64`]'s
+/// `Display`, exactly as the JSON printer writes them.
+pub(crate) fn write_canonical_f64(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
     if v.is_finite() {
-        serde_json::to_string(&v).unwrap_or_else(|_| v.to_string())
+        write!(out, "{}", Number::from_f64(v))
     } else if v.is_nan() {
-        "NaN".to_owned()
+        out.write_str("NaN")
     } else if v > 0.0 {
-        "inf".to_owned()
+        out.write_str("inf")
     } else {
-        "-inf".to_owned()
+        out.write_str("-inf")
     }
 }
 
@@ -95,7 +105,7 @@ impl fmt::Display for AxisValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AxisValue::U32(v) => write!(f, "{v}"),
-            AxisValue::F64(v) => f.write_str(&canonical_f64(*v)),
+            AxisValue::F64(v) => write_canonical_f64(f, *v),
             AxisValue::Node(v) => write!(f, "{v}"),
             AxisValue::Memory(v) => write!(f, "{v:?}"),
             AxisValue::Text(v) => f.write_str(v),

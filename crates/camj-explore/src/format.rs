@@ -6,15 +6,24 @@
 //! message of a failed one. Output is deterministic and byte-stable —
 //! rows come in grid order and floats print via the shortest-round-trip
 //! formatter — so sweep artifacts can be diffed and committed.
+//!
+//! A sweep row's fields are listed in one place, a private row walker
+//! that yields each row's cells in order. Three sinks read it: the JSON
+//! text writer behind [`SweepResults::to_json`], which appends every
+//! cell straight into the output with no value tree per row; the value
+//! rows of [`SweepResults::to_json_rows`] (the daemon's `point` frames);
+//! and [`SweepResults::to_csv`]. The pareto and search writers build a
+//! value tree ([`ParetoResults::to_value`], [`SearchResults::to_value`])
+//! and pretty-print it.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use serde_json::{Map, Number, Value};
 
 use camj_core::energy::{CacheStats, EstimateReport};
 
-use crate::axis::AxisValue;
+use crate::axis::{canonical_f64, write_canonical_f64, AxisValue};
 use crate::explorer::{PointOutcome, SweepResults};
 use crate::pareto::ParetoResults;
 use crate::search::SearchResults;
@@ -77,23 +86,10 @@ fn csv_field(raw: &str) -> String {
     }
 }
 
-/// Formats a float the way the JSON printer does (shortest string that
-/// round-trips), so CSV and JSON agree byte-for-byte on every number.
-/// Shared with [`AxisValue`]'s `Display` via
-/// [`canonical_f64`](crate::axis::canonical_f64), so point-tagged error
-/// messages print coordinates identically to the serializers.
-fn csv_f64(v: f64) -> String {
-    crate::axis::canonical_f64(v)
-}
-
 /// A point's coordinates as leading CSV cells, each followed by a comma.
 fn push_coord_cells(out: &mut String, point: &DesignPoint) {
     for (_, value) in point.coords() {
-        let cell = match value {
-            AxisValue::F64(v) => csv_f64(*v),
-            other => other.to_string(),
-        };
-        out.push_str(&csv_field(&cell));
+        out.push_str(&csv_field(&value.to_string()));
         out.push(',');
     }
 }
@@ -112,37 +108,116 @@ fn count_json(n: usize) -> Value {
     Value::Number(Number::from_u64(n as u64))
 }
 
-/// One sweep point as a JSON object: one key per axis, then the
-/// headline metrics and the error (see [`SweepResults::to_json_rows`]).
-fn point_row(outcome: &PointOutcome<EstimateReport>) -> Value {
-    let mut row = Map::new();
+/// The keys that follow a sweep row's axis coordinates, in order.
+const METRIC_KEYS: [&str; 4] = ["total_pj", "per_pixel_pj", "frame_ms", "error"];
+
+/// One cell of a sweep row.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    /// An axis coordinate.
+    Coord(&'a AxisValue),
+    /// A headline metric of a successful estimate.
+    Metric(f64),
+    /// The error message of a failed point.
+    Error(&'a str),
+    /// An inapplicable metric or error: JSON `null`, an empty CSV cell.
+    Empty,
+}
+
+/// Walks one sweep row's `(key, cell)` pairs in order: one per axis,
+/// then [`METRIC_KEYS`]. This is the one place a sweep row's fields are
+/// listed; the JSON text, the JSON value rows and the CSV rows all read
+/// them from here. An axis named like a metric key holds that metric
+/// in the axis's place, as inserting into a JSON object would.
+fn walk_row<'a>(
+    outcome: &'a PointOutcome<EstimateReport>,
+    mut cell: impl FnMut(&'a str, Cell<'a>),
+) {
+    let metrics = match &outcome.result {
+        Ok(report) => [
+            Cell::Metric(report.total().picojoules()),
+            Cell::Metric(report.energy_per_pixel().picojoules()),
+            Cell::Metric(report.delay.frame_time.millis()),
+            Cell::Empty,
+        ],
+        Err(e) => [
+            Cell::Empty,
+            Cell::Empty,
+            Cell::Empty,
+            Cell::Error(e.message()),
+        ],
+    };
+    let mut shadowed = [false; METRIC_KEYS.len()];
     for (axis, value) in outcome.point.coords() {
-        row.insert(axis, axis_value_json(value));
-    }
-    match &outcome.result {
-        Ok(report) => {
-            row.insert(
-                "total_pj",
-                Value::Number(Number::from_f64(report.total().picojoules())),
-            );
-            row.insert(
-                "per_pixel_pj",
-                Value::Number(Number::from_f64(report.energy_per_pixel().picojoules())),
-            );
-            row.insert(
-                "frame_ms",
-                Value::Number(Number::from_f64(report.delay.frame_time.millis())),
-            );
-            row.insert("error", Value::Null);
-        }
-        Err(e) => {
-            row.insert("total_pj", Value::Null);
-            row.insert("per_pixel_pj", Value::Null);
-            row.insert("frame_ms", Value::Null);
-            row.insert("error", Value::String(e.message().to_owned()));
+        match METRIC_KEYS.iter().position(|key| *key == axis) {
+            Some(i) => {
+                shadowed[i] = true;
+                cell(axis, metrics[i]);
+            }
+            None => cell(axis, Cell::Coord(value)),
         }
     }
-    Value::Object(row)
+    for ((key, metric), shadowed) in METRIC_KEYS.into_iter().zip(metrics).zip(shadowed) {
+        if !shadowed {
+            cell(key, metric);
+        }
+    }
+}
+
+/// A cell as a JSON value (see [`SweepResults::to_json_rows`]).
+fn cell_value(cell: Cell<'_>) -> Value {
+    match cell {
+        Cell::Coord(value) => axis_value_json(value),
+        Cell::Metric(v) => Value::Number(Number::from_f64(v)),
+        Cell::Error(message) => Value::String(message.to_owned()),
+        Cell::Empty => Value::Null,
+    }
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    serde::value::escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends a cell as JSON text: the bytes [`cell_value`]'s value
+/// pretty-prints to.
+///
+/// # Panics
+///
+/// Panics if the cell holds a non-finite number.
+fn push_json_cell(out: &mut String, cell: Cell<'_>) {
+    match cell {
+        Cell::Coord(AxisValue::Text(s)) => push_json_str(out, s),
+        Cell::Error(message) => push_json_str(out, message),
+        Cell::Empty => out.push_str("null"),
+        Cell::Coord(&AxisValue::F64(v)) | Cell::Metric(v) => {
+            assert!(v.is_finite(), "sweep metrics are finite");
+            write!(out, "{}", Number::from_f64(v)).expect("writing to a String cannot fail");
+        }
+        Cell::Coord(AxisValue::U32(v)) => {
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        }
+        // Node sizes and memory kind names never need a JSON escape.
+        Cell::Coord(other) => {
+            write!(out, "\"{other}\"").expect("writing to a String cannot fail");
+        }
+    }
+}
+
+/// Appends a cell as one CSV field: numbers in their canonical form
+/// (`NaN`/`inf` for non-finite values), text quoted as needed, and
+/// nothing for an inapplicable cell.
+fn push_csv_cell(out: &mut String, cell: Cell<'_>) {
+    match cell {
+        Cell::Coord(&AxisValue::F64(v)) | Cell::Metric(v) => {
+            write_canonical_f64(out, v).expect("writing to a String cannot fail");
+        }
+        Cell::Coord(value) => out.push_str(&csv_field(&value.to_string())),
+        Cell::Error(message) => out.push_str(&csv_field(message)),
+        Cell::Empty => {}
+    }
 }
 
 impl SweepResults<EstimateReport> {
@@ -151,7 +226,14 @@ impl SweepResults<EstimateReport> {
     /// success; the metrics are `null` on failure).
     #[must_use]
     pub fn to_json_rows(&self) -> Vec<Value> {
-        self.outcomes().iter().map(point_row).collect()
+        self.outcomes()
+            .iter()
+            .map(|outcome| {
+                let mut row = Map::new();
+                walk_row(outcome, |key, cell| row.insert(key, cell_value(cell)));
+                Value::Object(row)
+            })
+            .collect()
     }
 
     /// The whole sweep as a pretty-printed JSON object: the per-point
@@ -161,30 +243,35 @@ impl SweepResults<EstimateReport> {
     ///
     /// # Panics
     ///
-    /// Panics if a report contains a non-finite number — estimation
-    /// never produces one, so this indicates a model bug.
+    /// Panics if a report or an axis coordinate is a non-finite number
+    /// — estimation never produces one, so this indicates a model bug.
     ///
-    /// Rows are built and printed one at a time, so a large sweep never
-    /// holds every row's value tree at once. The text is exactly what
-    /// pretty-printing the whole tree gives: JSON escapes every newline
-    /// inside a value, so a nested value's lines are its own pretty text
-    /// indented by its depth.
+    /// The rows are written straight into the output as text, with no
+    /// value tree per row. The bytes are exactly what pretty-printing
+    /// the whole tree gives: `"points"` holding
+    /// [`Self::to_json_rows`], then `"cache"`.
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
-        let push_nested = |out: &mut String, value: &Value, newline: &str| {
-            let text = serde_json::to_string_pretty(value).expect("sweep metrics are finite");
-            out.push_str(&text.replace('\n', newline));
-        };
         let mut out = String::from("{\n  \"points\": [");
         for (i, outcome) in self.outcomes().iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_nested(&mut out, &point_row(outcome), "\n    ");
+            out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+            let mut first = true;
+            walk_row(outcome, |key, cell| {
+                out.push_str(if first { "\n      " } else { ",\n      " });
+                first = false;
+                push_json_str(&mut out, key);
+                out.push_str(": ");
+                push_json_cell(&mut out, cell);
+            });
+            out.push_str("\n    }");
         }
         if !self.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("],\n  \"cache\": ");
-        push_nested(&mut out, &cache_json(cache), "\n  ");
+        let cache =
+            serde_json::to_string_pretty(&cache_json(cache)).expect("cache stats are finite");
+        out.push_str(&cache.replace('\n', "\n  "));
         out.push_str("\n}");
         out
     }
@@ -199,27 +286,20 @@ impl SweepResults<EstimateReport> {
         let Some(first) = self.outcomes().first() else {
             return out;
         };
-        for (axis, _) in first.point.coords() {
-            out.push_str(&csv_field(axis));
-            out.push(',');
-        }
-        out.push_str("total_pj,per_pixel_pj,frame_ms,error\n");
+        let mut sep = "";
+        walk_row(first, |key, _| {
+            out.push_str(sep);
+            out.push_str(&csv_field(key));
+            sep = ",";
+        });
+        out.push('\n');
         for outcome in self.outcomes() {
-            push_coord_cells(&mut out, &outcome.point);
-            match &outcome.result {
-                Ok(report) => {
-                    out.push_str(&csv_f64(report.total().picojoules()));
-                    out.push(',');
-                    out.push_str(&csv_f64(report.energy_per_pixel().picojoules()));
-                    out.push(',');
-                    out.push_str(&csv_f64(report.delay.frame_time.millis()));
-                    out.push(',');
-                }
-                Err(e) => {
-                    out.push_str(",,,");
-                    out.push_str(&csv_field(e.message()));
-                }
-            }
+            let mut sep = "";
+            walk_row(outcome, |_, cell| {
+                out.push_str(sep);
+                push_csv_cell(&mut out, cell);
+                sep = ",";
+            });
             out.push('\n');
         }
         out
@@ -269,9 +349,15 @@ impl ParetoResults {
     /// [`PruneStats`]: crate::PruneStats
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
+        serde_json::to_string_pretty(&self.to_value(cache)).expect("pareto metrics are finite")
+    }
+
+    /// The value tree [`Self::to_json`] prints.
+    #[must_use]
+    pub fn to_value(&self, cache: Option<&CacheStats>) -> Value {
         let mut out = self.json_fields();
         out.insert("cache", cache_json(cache));
-        serde_json::to_string_pretty(&Value::Object(out)).expect("pareto metrics are finite")
+        Value::Object(out)
     }
 
     /// Every top-level field of [`Self::to_json`] but `"cache"`, in
@@ -322,7 +408,12 @@ impl ParetoResults {
         out.push('\n');
         for entry in self.frontier() {
             push_coord_cells(&mut out, &entry.point);
-            let metrics: Vec<String> = entry.metrics.values().iter().map(|v| csv_f64(*v)).collect();
+            let metrics: Vec<String> = entry
+                .metrics
+                .values()
+                .iter()
+                .map(|v| canonical_f64(*v))
+                .collect();
             out.push_str(&metrics.join(","));
             out.push('\n');
         }
@@ -346,6 +437,12 @@ impl SearchResults {
     /// one, so this indicates a model bug.
     #[must_use]
     pub fn to_json(&self, cache: Option<&CacheStats>) -> String {
+        serde_json::to_string_pretty(&self.to_value(cache)).expect("search metrics are finite")
+    }
+
+    /// The value tree [`Self::to_json`] prints.
+    #[must_use]
+    pub fn to_value(&self, cache: Option<&CacheStats>) -> Value {
         let mut out = self.pareto().json_fields();
         let mut search = Map::new();
         search.insert("grid_points", count_json(self.grid_points()));
@@ -360,7 +457,7 @@ impl SearchResults {
         search.insert("warmup_discarded", count_json(self.warmup_discarded()));
         out.insert("search", Value::Object(search));
         out.insert("cache", cache_json(cache));
-        serde_json::to_string_pretty(&Value::Object(out)).expect("search metrics are finite")
+        Value::Object(out)
     }
 
     /// The frontier as CSV, identical in shape to
@@ -389,36 +486,129 @@ mod tests {
         assert!("yaml".parse::<SweepFormat>().is_err());
     }
 
-    #[test]
-    fn streamed_sweep_json_matches_the_whole_tree() {
-        use crate::{Explorer, PointError, Sweep};
+    /// Sweeps covering every cell the row walker writes: a signed-zero,
+    /// fractional, integral and beyond-`i64` fps; a label with a quote,
+    /// a newline and a control character; node and memory coordinates;
+    /// error rows; an axis named like a metric key; and an empty sweep.
+    /// `frame_time` overrides every successful report's frame time.
+    fn writer_cases(frame_time: Option<f64>) -> Vec<SweepResults<EstimateReport>> {
+        use crate::{Explorer, MemoryKind, PointError, ProcessNode, Sweep};
         let model = camj_workloads::quickstart::model(30.0)
             .expect("quickstart builds")
             .into_validated();
-        let eval = |point: &crate::DesignPoint| {
+        let eval = |point: &DesignPoint| {
             if point.u32("bit_width") == 8 {
-                Err(PointError::new("bad \"bits\"\non two lines"))
-            } else {
-                model.estimate().map_err(PointError::from)
+                return Err(PointError::new("bad \"bits\"\non two lines\u{1}"));
             }
+            let mut report = model.estimate().map_err(PointError::from)?;
+            if let Some(secs) = frame_time {
+                report.delay.frame_time = camj_tech::units::Time::from_secs(secs);
+            }
+            Ok(report)
         };
+        let full = Sweep::new()
+            .bit_widths([4, 8])
+            .fps_targets([-0.0, 0.1, 30.0, 1e19])
+            .labels("variant", ["2D \"In\"\n\u{1}"])
+            .tech_nodes([ProcessNode::N65])
+            .memory_kinds([MemoryKind::LineBuffer]);
+        let shadowing = Sweep::new().bit_widths([4, 8]).labels("error", ["axis"]);
+        [full, shadowing, Sweep::new()]
+            .iter()
+            .map(|sweep| Explorer::serial().run(sweep, eval))
+            .collect()
+    }
+
+    /// The CSV a sweep's JSON value rows describe: the first row's keys,
+    /// then each row's values — a number as its `Display`, a string
+    /// through [`csv_field`], `null` as an empty cell.
+    fn csv_from_rows(rows: &[Value]) -> String {
+        let Some(first) = rows.first() else {
+            return String::new();
+        };
+        let line = |cells: Vec<String>| cells.join(",") + "\n";
+        let header = first.as_object().expect("rows are objects").iter();
+        let mut out = line(header.map(|(key, _)| csv_field(key)).collect());
+        for row in rows {
+            let cells = row.as_object().expect("rows are objects").iter();
+            out += &line(
+                cells
+                    .map(|(_, value)| match value {
+                        Value::Number(n) => n.to_string(),
+                        Value::String(s) => csv_field(s),
+                        Value::Null => String::new(),
+                        other => panic!("unexpected sweep cell {other}"),
+                    })
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_sweep_json_matches_the_whole_tree() {
         let whole = |results: &SweepResults<EstimateReport>, cache: Option<&CacheStats>| {
             let mut out = Map::new();
             out.insert("points", Value::Array(results.to_json_rows()));
             out.insert("cache", cache_json(cache));
             serde_json::to_string_pretty(&Value::Object(out)).expect("finite")
         };
-        let sweep = Sweep::new()
-            .bit_widths([4, 8])
-            .labels("variant", ["2D \"In\"\n"]);
         let stats = CacheStats::default();
-        for results in [
-            Explorer::serial().run(&sweep, eval),
-            Explorer::serial().run(&Sweep::new(), eval),
-        ] {
+        let cases = writer_cases(None);
+        assert_eq!(
+            cases.iter().map(SweepResults::len).collect::<Vec<_>>(),
+            [8, 2, 0]
+        );
+        for results in &cases {
             for cache in [None, Some(&stats)] {
-                assert_eq!(results.to_json(cache), whole(&results, cache));
+                assert_eq!(results.to_json(cache), whole(results, cache));
             }
+            assert_eq!(results.to_csv(), csv_from_rows(&results.to_json_rows()));
+        }
+        // The shadowing axis holds the error cell, and no second
+        // `error` key follows the metrics.
+        let shadowed = &cases[1].to_json_rows()[1];
+        let keys: Vec<&str> = shadowed
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(
+            keys,
+            ["bit_width", "error", "total_pj", "per_pixel_pj", "frame_ms"]
+        );
+        assert!(cases[1]
+            .to_csv()
+            .starts_with("bit_width,error,total_pj,per_pixel_pj,frame_ms\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_non_finite_sweep_metric_panics() {
+        let _ = writer_cases(Some(f64::NAN))[0].to_json(None);
+    }
+
+    #[test]
+    fn pareto_and_search_json_print_their_value_trees() {
+        use crate::{
+            EstimateCache, Explorer, Objective, ParetoQuery, PointError, SearchSpec, Sweep,
+        };
+        let sweep = Sweep::new().fps_targets([15.0, 30.0, 60.0]);
+        let query = ParetoQuery::new(vec![Objective::TotalEnergy, Objective::PowerDensity]);
+        let cache = EstimateCache::shared();
+        let build = |point: &DesignPoint| {
+            camj_workloads::quickstart::model(point.fps("fps"))
+                .map(camj_core::energy::CamJ::into_validated)
+                .map_err(PointError::new)
+        };
+        let pareto = Explorer::serial().pareto(&sweep, &cache, &query, build);
+        let search = Explorer::serial().search(&sweep, &cache, &query, &SearchSpec::new(), build);
+        let stats = cache.stats();
+        for stats in [None, Some(&stats)] {
+            let pretty = |value: Value| serde_json::to_string_pretty(&value).unwrap();
+            assert_eq!(pareto.to_json(stats), pretty(pareto.to_value(stats)));
+            assert_eq!(search.to_json(stats), pretty(search.to_value(stats)));
         }
     }
 

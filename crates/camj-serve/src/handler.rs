@@ -233,8 +233,8 @@ impl SharedState {
                 frames.push(Frame::result(Value::Object(body)));
                 frames
             }
-            Outcome::Pareto(results) => vec![Frame::result(reparse(&results.to_json(None)))],
-            Outcome::Search(results) => vec![Frame::result(reparse(&results.to_json(None)))],
+            Outcome::Pareto(results) => vec![Frame::result(results.to_value(None))],
+            Outcome::Search(results) => vec![Frame::result(results.to_value(None))],
         })
     }
 
@@ -268,10 +268,4 @@ impl SharedState {
 /// carries id 0, which [`crate::protocol::stamp_line`] rewrites).
 fn render(frames: &[Frame]) -> Vec<String> {
     frames.iter().map(serialize_frame).collect()
-}
-
-/// Re-parses a serializer's JSON string into a `Value` body. The
-/// serializers print shortest-round-trip floats, so this is exact.
-fn reparse(json: &str) -> Value {
-    serde_json::from_str(json).unwrap_or(Value::Null)
 }

@@ -304,23 +304,33 @@ impl Value {
 }
 
 /// Escapes `s` as JSON string contents (no surrounding quotes) into
-/// `out`.
+/// `out`. Runs of characters that need no escape are copied whole.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                use fmt::Write as _;
+                write!(out, "\\u{b:04x}").expect("writing to a String cannot fail");
             }
-            c => out.push(c),
         }
+        clean = i + 1;
     }
+    out.push_str(&s[clean..]);
 }
 
 impl fmt::Display for Value {
@@ -397,6 +407,13 @@ mod tests {
             let back: f64 = s.parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} → {s}");
         }
+    }
+
+    #[test]
+    fn escapes_cover_quotes_controls_and_keep_unicode() {
+        let mut out = String::from("<");
+        escape_into(&mut out, "a\"b\\c\nd\r\t\u{8}\u{c}\u{1}\u{1f}é😀 ");
+        assert_eq!(out, "<a\\\"b\\\\c\\nd\\r\\t\\b\\f\\u0001\\u001fé😀 ");
     }
 
     #[test]

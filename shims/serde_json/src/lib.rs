@@ -164,8 +164,17 @@ fn write_pretty(v: &Value, indent: usize, out: &mut String) {
             }
             out.push('}');
         }
-        // Scalars, "[]", and "{}" use the compact form.
-        other => out.push_str(&other.to_string()),
+        // Scalars, "[]", and "{}" use the compact form, written
+        // straight into `out`.
+        Value::String(s) => {
+            out.push('"');
+            serde::value::escape_into(out, s);
+            out.push('"');
+        }
+        other => {
+            use fmt::Write as _;
+            write!(out, "{other}").expect("writing to a String cannot fail");
+        }
     }
 }
 

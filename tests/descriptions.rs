@@ -5,11 +5,13 @@
 //!   to a fresh export of its workload (no drift),
 //! * loading a golden file produces a model whose energy estimates are
 //!   **byte-identical** to the Rust-built equivalent,
-//! * the CLI's `estimate` output matches the committed snapshot, and
+//! * the CLI's `estimate` output and a cold stdio daemon's session
+//!   match their committed snapshots, and
 //!   `export` reproduces the committed JSON byte-for-byte.
 
 use std::fs;
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 use camj::desc::DesignDesc;
 use camj::workloads::describe;
@@ -91,30 +93,78 @@ fn custom_chip_description_loads_and_estimates() {
     assert!(!sweep.fps.is_empty());
 }
 
+/// The stream CI's serve-smoke job sends a cold daemon: a quickstart
+/// estimate at 30 FPS, a 64-point sweep over 10–73 FPS, and a
+/// shutdown, one compact JSON line each.
+fn serve_smoke_requests() -> String {
+    let text = fs::read_to_string("descriptions/quickstart.json").unwrap();
+    let design: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let fps: Vec<String> = (10..74).map(|f| format!("{f}.0")).collect();
+    format!(
+        "{{\"id\":1,\"kind\":\"estimate\",\"design\":{design},\"fps\":[30]}}\n\
+         {{\"id\":2,\"kind\":\"sweep\",\"design\":{design},\"fps\":[{}]}}\n\
+         {{\"id\":3,\"kind\":\"shutdown\"}}\n",
+        fps.join(",")
+    )
+}
+
+/// Every committed CLI snapshot, one row each: (args, stdin,
+/// `RAYON_NUM_THREADS`, golden). The Ed-Gaze estimate JSON pins all
+/// four energy kernels at full float precision; the cold
+/// `--workers 1` daemon's 64 sweep `point` frames pin the sweep rows
+/// the serve wire carries.
 #[test]
 fn cli_estimate_matches_committed_snapshot() {
-    let out = Command::new(env!("CARGO_BIN_EXE_camj"))
-        .args([
-            "estimate",
-            "--design",
-            "descriptions/quickstart.json",
-            "--fps",
-            "30",
-        ])
-        .output()
-        .expect("camj binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let expected = fs::read_to_string("descriptions/quickstart.estimate.txt").unwrap();
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        expected,
-        "CLI estimate output drifted from descriptions/quickstart.estimate.txt; \
-         regenerate it if the change is intentional"
-    );
+    let serve_requests = serve_smoke_requests();
+    let quickstart: &[&str] = &[
+        "estimate",
+        "--design",
+        "descriptions/quickstart.json",
+        "--fps",
+        "30",
+    ];
+    let edgaze: &[&str] = &["estimate", "--design", "descriptions/edgaze.json", "--json"];
+    let serve: &[&str] = &["serve", "--stdio", "--workers", "1"];
+    let rows: [(&[&str], &str, Option<&str>, &str); 4] = [
+        (quickstart, "", None, "descriptions/quickstart.estimate.txt"),
+        (edgaze, "", Some("1"), "tests/golden/edgaze.estimate.json"),
+        (edgaze, "", Some("8"), "tests/golden/edgaze.estimate.json"),
+        (
+            serve,
+            &serve_requests,
+            None,
+            "descriptions/quickstart.serve.txt",
+        ),
+    ];
+    for (args, stdin, threads, golden) in rows {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_camj"));
+        cmd.args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
+        if let Some(threads) = threads {
+            cmd.env("RAYON_NUM_THREADS", threads);
+        }
+        let mut child = cmd.spawn().expect("camj binary runs");
+        // The requests fit in the pipe buffer, so writing them all
+        // before reading any output cannot block.
+        let mut input = child.stdin.take().expect("stdin is piped");
+        input.write_all(stdin.as_bytes()).unwrap();
+        drop(input);
+        let out = child.wait_with_output().expect("camj binary runs");
+        assert!(
+            out.status.success(),
+            "camj {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let expected = fs::read_to_string(golden).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "camj {args:?} (RAYON_NUM_THREADS={threads:?}) drifted from {golden}; \
+             regenerate it if the change is intentional"
+        );
+    }
 }
 
 /// Runs `camj simulate` with `args`, optionally pinning the rayon
